@@ -67,7 +67,9 @@ type link = {
   mutable samples : int;
 }
 
-type t = { config : config; n : int; links : link option array }
+(* Only links that an update touched are materialised, keyed by
+   [src * n + dst]; every read treats an absent link as a fresh one. *)
+type t = { config : config; n : int; links : (int, link) Hashtbl.t }
 
 let create ?(config = default) ~n () =
   if n < 1 then invalid_arg "Adaptive.create: n < 1";
@@ -79,16 +81,22 @@ let create ?(config = default) ~n () =
       ~breaker_threshold:config.breaker_threshold ~blowup_factor:config.blowup_factor
       ~cooldown_mult:config.cooldown_mult ~max_reroutes:config.max_reroutes ()
   in
-  { config; n; links = Array.make (n * n) None }
+  { config; n; links = Hashtbl.create 16 }
 
 let config t = t.config
 let size t = t.n
 
-let link t ~src ~dst name =
+let index t ~src ~dst name =
   if src < 0 || src >= t.n || dst < 0 || dst >= t.n then
     invalid_arg ("Adaptive." ^ name ^ ": rank out of range");
-  let idx = (src * t.n) + dst in
-  match t.links.(idx) with
+  (src * t.n) + dst
+
+(* Read-only view: [None] for a link no update has touched yet. *)
+let find t ~src ~dst name = Hashtbl.find_opt t.links (index t ~src ~dst name)
+
+let link t ~src ~dst name =
+  let idx = index t ~src ~dst name in
+  match Hashtbl.find_opt t.links idx with
   | Some l -> l
   | None ->
       let l =
@@ -102,7 +110,7 @@ let link t ~src ~dst name =
           samples = 0;
         }
       in
-      t.links.(idx) <- Some l;
+      Hashtbl.add t.links idx l;
       l
 
 let clamp t x = Float.min t.config.rto_max (Float.max t.config.rto_min x)
@@ -174,40 +182,54 @@ let on_timeout t ~src ~dst ~now =
       false
 
 let usable t ~src ~dst ~now =
-  let l = link t ~src ~dst "usable" in
-  match l.state with
-  | Closed | Half_open -> true
-  | Open { until } ->
-      if now >= until then begin
-        l.state <- Half_open;
-        true
-      end
-      else false
+  match find t ~src ~dst "usable" with
+  | None -> true
+  | Some l -> (
+      match l.state with
+      | Closed | Half_open -> true
+      | Open { until } ->
+          if now >= until then begin
+            l.state <- Half_open;
+            true
+          end
+          else false)
 
 let usable_now t ~src ~dst ~now =
-  let l = link t ~src ~dst "usable_now" in
-  match l.state with
-  | Closed | Half_open -> true
-  | Open { until } -> now >= until
+  match find t ~src ~dst "usable_now" with
+  | None -> true
+  | Some l -> (
+      match l.state with Closed | Half_open -> true | Open { until } -> now >= until)
 
 let circuit t ~src ~dst =
-  let l = link t ~src ~dst "circuit" in
-  match l.state with Closed -> `Closed | Open _ -> `Open | Half_open -> `Half_open
+  match find t ~src ~dst "circuit" with
+  | None -> `Closed
+  | Some l -> (
+      match l.state with Closed -> `Closed | Open _ -> `Open | Half_open -> `Half_open)
 
 let srtt t ~src ~dst =
-  let l = link t ~src ~dst "srtt" in
-  if l.samples = 0 then None else Some l.srtt
+  match find t ~src ~dst "srtt" with Some l when l.samples > 0 -> Some l.srtt | _ -> None
 
 let rttvar t ~src ~dst =
-  let l = link t ~src ~dst "rttvar" in
-  if l.samples = 0 then None else Some l.rttvar
+  match find t ~src ~dst "rttvar" with
+  | Some l when l.samples > 0 -> Some l.rttvar
+  | _ -> None
 
-let samples t ~src ~dst = (link t ~src ~dst "samples").samples
+let samples t ~src ~dst =
+  match find t ~src ~dst "samples" with None -> 0 | Some l -> l.samples
 
-let quality t ~src ~dst =
-  let l = link t ~src ~dst "quality" in
+let link_quality l =
   if l.samples = 0 || Float.is_nan l.nominal || l.nominal <= 0. then 1.
   else l.srtt /. l.nominal
+
+let quality t ~src ~dst =
+  match find t ~src ~dst "quality" with None -> 1. | Some l -> link_quality l
+
+let quality_entries t =
+  let a =
+    Array.of_list (Hashtbl.fold (fun idx l acc -> (idx, link_quality l) :: acc) t.links [])
+  in
+  Array.sort (fun (i, _) (j, _) -> Int.compare i j) a;
+  a
 
 let estimated_params t ~src ~dst nominal =
   let q = quality t ~src ~dst in

@@ -62,8 +62,12 @@ val v :
     [max_reroutes]. *)
 
 type t
-(** Estimator + breaker state over [n] ranks (per directed link, lazily
-    materialised). *)
+(** Estimator + breaker state over [n] ranks.  A directed link's state is
+    materialised by its first update ({!rto}, {!on_sample},
+    {!on_timeout}); no other function materialises one — for an untouched
+    link they answer as for a fresh one (no samples, closed circuit,
+    quality [1.]).  Space is therefore proportional to
+    the links a session exercises, not to [n{^2}]. *)
 
 val create : ?config:config -> n:int -> unit -> t
 (** @raise Invalid_argument if [n < 1] (the config is re-validated). *)
@@ -126,7 +130,9 @@ val circuit : t -> src:int -> dst:int -> [ `Closed | `Open | `Half_open ]
 (** Current breaker state (no transition; cooldown expiry is only applied
     by {!usable}). *)
 
-(** {2 Estimated parameters} *)
+(** {2 Estimated parameters}
+
+    All of these are read-only: they never materialise a link. *)
 
 val srtt : t -> src:int -> dst:int -> float option
 val rttvar : t -> src:int -> dst:int -> float option
@@ -137,6 +143,11 @@ val quality : t -> src:int -> dst:int -> float
 (** Multiplicative drift of the link: [SRTT / nominal round trip], 1. until
     a valid sample exists.  > 1 means the link is slower than the model
     says. *)
+
+val quality_entries : t -> (int * float) array
+(** The sparse {!quality} matrix: [(src * size t + dst, quality)] for every
+    materialised link, in ascending index order.  Every link not listed
+    has quality [1.]. *)
 
 val estimated_params : t -> src:int -> dst:int -> Gridb_plogp.Params.t -> Gridb_plogp.Params.t
 (** [estimated_params t ~src ~dst nominal] rescales the nominal parameter

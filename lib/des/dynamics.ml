@@ -168,7 +168,8 @@ type t = {
   t0 : float;  (* time origin; drawn times are offsets from it *)
   leave : float array;  (* per planning-time rank; infinity = never *)
   join_events : join array;
-  drift_streams : drift_stream array;  (* n * n; [||] when drift_rate = 0 *)
+  origin : Rng.t;  (* master stream after the leave and join draws; never advanced *)
+  drift_streams : (int, drift_stream) Hashtbl.t;  (* touched links only *)
 }
 
 let create ?(seed = 0) ?(t0 = 0.) ~n ~clusters spec =
@@ -205,24 +206,15 @@ let create ?(seed = 0) ?(t0 = 0.) ~n ~clusters spec =
     end
     else [||]
   in
-  let drift_streams =
-    if spec.drift_rate > 0. then
-      Array.init (n * n) (fun _ ->
-          let drng = Rng.create (Int64.to_int (Rng.bits64 master)) in
-          let always_on = spec.load_off_mean = 0. in
-          {
-            drng;
-            next_toggle =
-              (if always_on then infinity
-               else Rng.exponential drng (1. /. spec.load_off_mean));
-            next_step = Rng.exponential drng spec.drift_rate;
-            on = always_on;
-            w = 1.;
-            segs = [ (0., 1.) ];
-          })
-    else [||]
-  in
-  { spec; n; t0; leave; join_events; drift_streams }
+  {
+    spec;
+    n;
+    t0;
+    leave;
+    join_events;
+    origin = master;
+    drift_streams = Hashtbl.create 16;
+  }
 
 let spec t = t.spec
 let size t = t.n
@@ -262,17 +254,42 @@ let materialize t s ~at =
     end
   done
 
+(* Link [idx]'s stream is seeded on first use from [origin]'s [(idx + 1)]-th
+   output — the seed it would have drawn had every directed link been
+   seeded eagerly in index order — reached by skip-ahead. *)
+let drift_stream t idx =
+  match Hashtbl.find_opt t.drift_streams idx with
+  | Some s -> s
+  | None ->
+      let spec = t.spec in
+      let drng = Rng.create (Int64.to_int (Rng.peek t.origin idx)) in
+      let always_on = spec.load_off_mean = 0. in
+      let s =
+        {
+          drng;
+          next_toggle =
+            (if always_on then infinity
+             else Rng.exponential drng (1. /. spec.load_off_mean));
+          next_step = Rng.exponential drng spec.drift_rate;
+          on = always_on;
+          w = 1.;
+          segs = [ (0., 1.) ];
+        }
+      in
+      Hashtbl.add t.drift_streams idx s;
+      s
+
 let factor t ~src ~dst ~at =
   check_rank t src "factor";
   check_rank t dst "factor";
   if
-    Array.length t.drift_streams = 0
+    t.spec.drift_rate = 0.
     || src = dst
     || src >= t.n (* join links are fresh and undrifted *)
     || dst >= t.n
   then 1.
   else begin
-    let s = t.drift_streams.((src * t.n) + dst) in
+    let s = drift_stream t ((src * t.n) + dst) in
     let at = at -. t.t0 in
     materialize t s ~at;
     match List.find_opt (fun (since, _) -> since <= at) s.segs with

@@ -24,12 +24,16 @@
     {!Gridb_experiments.Dynamics} and [gridsched simulate]); the processes
     above ignore it.
 
-    Like {!Faults}, all randomness is pre-seeded per link / per rank at
-    {!create} time from one SplitMix64 master stream and drift events are
-    materialised lazily in time order, so draws are reproducible at a fixed
-    seed and independent of the order in which the executor queries
-    different links — which is what keeps dynamic runs bit-stable at any
-    [--jobs] count. *)
+    Like {!Faults}, all randomness comes from one SplitMix64 master
+    stream: leave times and joins are drawn at {!create} time, each
+    directed link's drift stream is seeded on its first query by
+    skip-ahead ({!Gridb_util.Rng.peek}) to the seed it would have drawn
+    had every link been seeded eagerly in index order (bit-identical to
+    that eager order), and drift events are materialised lazily in time
+    order.  Draws are therefore reproducible at a fixed seed and
+    independent of the order in which the executor queries different
+    links — which is what keeps dynamic runs bit-stable at any [--jobs]
+    count — and a model costs only for the links a run touches. *)
 
 type spec = {
   drift_rate : float;  (** walk-step arrival rate per directed link, 1/us *)
@@ -93,8 +97,8 @@ type join = {
 }
 
 val create : ?seed:int -> ?t0:float -> n:int -> clusters:int -> spec -> t
-(** Pre-draws leave times and join arrivals and seeds the per-link drift
-    streams (default seed 0).  [clusters] is the number of clusters joins
+(** Pre-draws leave times and join arrivals (default seed 0); per-link
+    drift streams are seeded on first use, so set-up is O(n).  [clusters] is the number of clusters joins
     may attach to.  With {!is_none} specs no randomness is consumed at all.
 
     [t0] (default [0.]) is the model's time origin: every drawn time —

@@ -120,8 +120,9 @@ type t = {
   t0 : float;  (* time origin; drawn times are offsets from it *)
   crash : float array;  (* per rank; infinity = never *)
   cut : float array;  (* directed link src * n + dst; infinity = never *)
-  loss_streams : Rng.t array;  (* per directed link; [||] when loss = 0 *)
-  degrade_streams : degrade_stream array;  (* [||] when degrade_rate = 0 *)
+  origin : Rng.t;  (* master stream after the crash and cut draws; never advanced *)
+  loss_streams : (int, Rng.t) Hashtbl.t;  (* touched links only *)
+  degrade_streams : (int, degrade_stream) Hashtbl.t;  (* touched links only *)
 }
 
 let create ?(seed = 0) ?(t0 = 0.) ~n spec =
@@ -135,7 +136,6 @@ let create ?(seed = 0) ?(t0 = 0.) ~n spec =
       ~crash_rate:spec.crash_rate ()
   in
   let master = Rng.create seed in
-  let links = n * n in
   let crash =
     if spec.crash_rate > 0. then
       Array.init n (fun _ -> Rng.exponential master spec.crash_rate)
@@ -143,27 +143,21 @@ let create ?(seed = 0) ?(t0 = 0.) ~n spec =
   in
   let cut =
     if spec.cut_rate > 0. then
-      Array.init links (fun idx ->
+      Array.init (n * n) (fun idx ->
           if idx / n = idx mod n then infinity
           else Rng.exponential master spec.cut_rate)
     else Array.make 0 0.
   in
-  let sub_rng () = Rng.create (Int64.to_int (Rng.bits64 master)) in
-  let loss_streams =
-    if spec.loss > 0. then Array.init links (fun _ -> sub_rng ()) else [||]
-  in
-  let degrade_streams =
-    if spec.degrade_rate > 0. then
-      Array.init links (fun _ ->
-          let drng = sub_rng () in
-          {
-            drng;
-            next_start = Rng.exponential drng spec.degrade_rate;
-            episodes = [];
-          })
-    else [||]
-  in
-  { spec; n; t0; crash; cut; loss_streams; degrade_streams }
+  {
+    spec;
+    n;
+    t0;
+    crash;
+    cut;
+    origin = master;
+    loss_streams = Hashtbl.create 16;
+    degrade_streams = Hashtbl.create 16;
+  }
 
 let spec t = t.spec
 let size t = t.n
@@ -188,16 +182,45 @@ let cut_time t ~src ~dst =
 
 let link_up t ~src ~dst ~at = cut_time t ~src ~dst > at
 
+(* Per-link streams are seeded on first use.  The master stream after the
+   crash and cut draws seeds one stream per directed link in index order —
+   all n*n loss streams first (when loss is on), then the degradation
+   streams — so link [idx]'s stream of a kind is seeded by [origin]'s
+   [(offset + idx + 1)]-th output, [offset] counting the streams of the
+   kinds before it; {!Rng.peek} reaches that output without drawing the
+   others. *)
+let sub_rng t ~offset idx =
+  Rng.create (Int64.to_int (Rng.peek t.origin (offset + idx)))
+
+let loss_stream t idx =
+  match Hashtbl.find_opt t.loss_streams idx with
+  | Some rng -> rng
+  | None ->
+      let rng = sub_rng t ~offset:0 idx in
+      Hashtbl.add t.loss_streams idx rng;
+      rng
+
 let lose t ~src ~dst =
   let idx = link_index t ~src ~dst "lose" in
-  if Array.length t.loss_streams = 0 then false
-  else Rng.bernoulli t.loss_streams.(idx) t.spec.loss
+  t.spec.loss > 0. && Rng.bernoulli (loss_stream t idx) t.spec.loss
+
+let degrade_stream t idx =
+  match Hashtbl.find_opt t.degrade_streams idx with
+  | Some s -> s
+  | None ->
+      let offset = if t.spec.loss > 0. then t.n * t.n else 0 in
+      let drng = sub_rng t ~offset idx in
+      let s =
+        { drng; next_start = Rng.exponential drng t.spec.degrade_rate; episodes = [] }
+      in
+      Hashtbl.add t.degrade_streams idx s;
+      s
 
 let slowdown t ~src ~dst ~at =
   let idx = link_index t ~src ~dst "slowdown" in
-  if Array.length t.degrade_streams = 0 then 1.
+  if t.spec.degrade_rate = 0. then 1.
   else begin
-    let s = t.degrade_streams.(idx) in
+    let s = degrade_stream t idx in
     let at = at -. t.t0 in
     while s.next_start <= at do
       let start = s.next_start in

@@ -16,8 +16,13 @@
       [Exp(crash_rate)]; it stops sending, and messages delivered to it
       after the crash are discarded (no ACK, no forwarding).
 
-    All randomness is pre-seeded per link / per rank at {!create} time from
-    a single SplitMix64 master stream, so fault draws are reproducible at a
+    All randomness comes from a single SplitMix64 master stream.  Crash and
+    cut times are drawn from it at {!create} time (O(n) and O(n{^2})
+    draws); each link's loss and degradation stream is seeded on its first
+    query, by skip-ahead ({!Gridb_util.Rng.peek}) to the master output the
+    link would have drawn had every link been seeded eagerly in index
+    order — bit-identical to that eager order, but paying only for the
+    links a run touches.  Fault draws are therefore reproducible at a
     fixed seed {e and} independent of the order in which the executor
     queries different links — a retransmission on one link never perturbs
     the draws of another. *)
@@ -67,9 +72,11 @@ type t
 (** An instantiated fault model over [n] ranks. *)
 
 val create : ?seed:int -> ?t0:float -> n:int -> spec -> t
-(** Pre-draws crash and cut times and seeds the per-link loss/degradation
-    streams (default seed 0).  With {!is_none} specs no randomness is
-    consumed at all.
+(** Pre-draws crash and cut times (default seed 0); per-link
+    loss/degradation streams are seeded on first use (see above), so the
+    model's size and set-up time grow with [n] and the links queried, not
+    with [n{^2}] (a [cut_rate > 0.] still draws every link's cut time up
+    front).  With {!is_none} specs no randomness is consumed at all.
 
     [t0] (default [0.]) is the model's time origin: crash times, cut times
     and the degradation-episode timeline are offsets from it.  A session

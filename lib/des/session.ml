@@ -354,7 +354,9 @@ let launch_reliable ?sid ?(who = "Session.launch_reliable") ~wire ~engine
   let cur_try = Array.make ntot 0 in
   let last_start = Array.make ntot nan in
   let reroutes_used = Array.make ntot 0 in
-  let failed = Array.make (ntot * ntot) false in
+  (* (dst, parent) pairs that failed a delivery, keyed [dst * ntot + parent]:
+     only reroutes add to it, so it stays far smaller than ntot * ntot. *)
+  let failed = Hashtbl.create 16 in
   (* Orphans with no delivered alive candidate yet, retried on the next
      delivery: (dst, parent that last failed it). *)
   let pending = ref [] in
@@ -400,7 +402,7 @@ let launch_reliable ?sid ?(who = "Session.launch_reliable") ~wire ~engine
                candidates no probe will cross; the winner's transition is
                applied in [try_reroute]. *)
             let tier =
-              if failed.((dst * ntot) + p) then 2
+              if Hashtbl.mem failed ((dst * ntot) + p) then 2
               else if Adaptive.usable_now est ~src:p ~dst ~now then 0
               else 1
             in
@@ -586,7 +588,7 @@ let launch_reliable ?sid ?(who = "Session.launch_reliable") ~wire ~engine
     (* A duplicate delivery may already have landed; then there is nothing
        to reroute (the timer is gone either way). *)
     if not has_msg.(dst) then begin
-      failed.((dst * ntot) + old_parent) <- true;
+      Hashtbl.replace failed ((dst * ntot) + old_parent) ();
       try_reroute ~old_parent ~dst engine
     end
   and try_reroute ~old_parent ~dst engine =

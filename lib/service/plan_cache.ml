@@ -23,11 +23,16 @@ let key_string k =
     (Fingerprint.to_string k.fingerprint)
     k.root k.bucket
 
+(* Sparse quality matrix at plan time: the estimator's size and its
+   materialised links' qualities, ascending by flattened index; every other
+   link was at quality 1. *)
+type snapshot = { size : int; entries : (int * float) array }
+
 type entry = {
   schedule : Gridb_sched.Schedule.t;
-  (* Flattened n*n quality matrix at plan time; [None] when the entry was
-     planned without a live estimator (nominal conditions, quality 1.). *)
-  snapshot : float array option;
+  (* [None] when the entry was planned without a live estimator (nominal
+     conditions, quality 1. everywhere). *)
+  snapshot : snapshot option;
 }
 
 type stats = { hits : int; misses : int; invalidations : int; entries : int }
@@ -48,27 +53,36 @@ let create ?(threshold = default_threshold) ?(obs = Sink.null) () =
   { tbl = Hashtbl.create 64; threshold; obs; hits = 0; misses = 0; invalidations = 0 }
 
 let snapshot_of est =
-  let n = Adaptive.size est in
-  Array.init (n * n) (fun i -> Adaptive.quality est ~src:(i / n) ~dst:(i mod n))
+  { size = Adaptive.size est; entries = Adaptive.quality_entries est }
 
-(* Mean absolute per-link quality drift between plan time and now.  A
-   nominal snapshot ([None]) counts every link as quality 1.; incompatible
-   estimator sizes diverge infinitely (a population change always
-   invalidates). *)
+(* Mean absolute per-link quality drift between plan time and now, over
+   all n*n links.  A nominal snapshot ([None]) counts every link as quality
+   1.; incompatible estimator sizes diverge infinitely (a population change
+   always invalidates).  Only links listed on either side can contribute:
+   the sum walks their union in ascending index order, and every skipped
+   term is |1 - 1| = 0, so the float result equals the dense n*n sum. *)
 let divergence ~snapshot est =
-  let live = snapshot_of est in
-  let m = Array.length live in
-  if m = 0 then 0.
-  else
-    match snapshot with
-    | Some snap when Array.length snap <> m -> infinity
-    | _ ->
-        let base i = match snapshot with Some snap -> snap.(i) | None -> 1. in
-        let acc = ref 0. in
-        for i = 0 to m - 1 do
-          acc := !acc +. Float.abs (live.(i) -. base i)
-        done;
-        !acc /. float_of_int m
+  let n = Adaptive.size est in
+  match snapshot with
+  | Some snap when snap.size <> n -> infinity
+  | _ ->
+      let live = Adaptive.quality_entries est in
+      let base = match snapshot with Some snap -> snap.entries | None -> [||] in
+      let nl = Array.length live and nb = Array.length base in
+      let acc = ref 0. in
+      let rec merge i j =
+        if i < nl || j < nb then begin
+          let li = if i < nl then fst live.(i) else max_int in
+          let bj = if j < nb then fst base.(j) else max_int in
+          let idx = min li bj in
+          let lq = if li = idx then snd live.(i) else 1. in
+          let bq = if bj = idx then snd base.(j) else 1. in
+          acc := !acc +. Float.abs (lq -. bq);
+          merge (if li = idx then i + 1 else i) (if bj = idx then j + 1 else j)
+        end
+      in
+      merge 0 0;
+      !acc /. float_of_int (n * n)
 
 let publish_counters t =
   if Sink.enabled t.obs then begin

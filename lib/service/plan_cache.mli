@@ -8,10 +8,12 @@
     and same scheduling policy.
 
     Invalidation is driven by live network estimates: an entry stores the
-    {!Gridb_des.Adaptive.quality} matrix observed at plan time, and a
-    lookup carrying a live estimator recomputes when the mean absolute
-    per-link quality drift exceeds the threshold — stale plans are
-    replaced, nominal lookups (no estimator) never invalidate.
+    {!Gridb_des.Adaptive.quality} matrix observed at plan time (sparsely:
+    {!Gridb_des.Adaptive.quality_entries}, every other link at quality
+    [1.]), and a lookup carrying a live estimator recomputes when the mean
+    absolute per-link quality drift over all [n{^2}] links exceeds the
+    threshold — stale plans are replaced, nominal lookups (no estimator)
+    never invalidate.
 
     Observability: every lookup publishes [Cache_hit]/[Cache_miss] (keyed
     ["<policy>/fp=<hex>/root=<r>/class=<c>"]) plus the running

@@ -18,6 +18,12 @@ let bits64 t =
   t.state <- Int64.add t.state golden_gamma;
   mix t.state
 
+(* SplitMix64's state advances by a constant, so the (k+1)-th output of a
+   copy is one multiply-add away. *)
+let peek t k =
+  if k < 0 then invalid_arg "Rng.peek: negative offset";
+  mix (Int64.add t.state (Int64.mul (Int64.succ (Int64.of_int k)) golden_gamma))
+
 (* A second odd constant so indexed streams are not correlated with the
    parent's own output sequence. *)
 let stream_gamma = 0xD1B54A32D192ED03L

@@ -30,6 +30,12 @@ val copy : t -> t
 val bits64 : t -> int64
 (** Next raw 64-bit output. *)
 
+val peek : t -> int -> int64
+(** [peek t k] is the [(k+1)]-th {!bits64} output of [copy t]: [k] draws
+    ahead, in O(1) and without advancing [t] (SplitMix64 advances its state
+    by a constant).  [peek t 0] is the next output.
+    @raise Invalid_argument if [k < 0]. *)
+
 val int : t -> int -> int
 (** [int t bound] is uniform in [\[0, bound)].  @raise Invalid_argument if
     [bound <= 0]. *)

@@ -237,6 +237,150 @@ let test_t0_shifts_origin () =
     (Invalid_argument "Dynamics.create: t0 must be finite") (fun () ->
       ignore (Dyn.create ~t0:infinity ~n:5 ~clusters:4 spec))
 
+(* --- lazy seeding vs the eager reference ---------------------------------- *)
+
+(* Eager seeding, kept as the reference: one drift stream per directed
+   link, drawn in index order from the master stream after the leave and
+   join draws.  [Dyn], which seeds each link on first use, must answer
+   every query exactly as this model does, in any query order. *)
+module Eager_dynamics = struct
+  type drift_stream = {
+    drng : Rng.t;
+    mutable next_toggle : float;
+    mutable next_step : float;
+    mutable on : bool;
+    mutable w : float;
+    mutable segs : (float * float) list;
+  }
+
+  type t = {
+    spec : Dyn.spec;
+    n : int;
+    t0 : float;
+    leave : float array;
+    joins : Dyn.join array;
+    drift_streams : drift_stream array;
+  }
+
+  let create ~seed ~t0 ~n ~clusters (spec : Dyn.spec) =
+    let master = Rng.create seed in
+    let leave =
+      if spec.Dyn.leave_rate > 0. then
+        Array.init n (fun _ -> Rng.exponential master spec.Dyn.leave_rate)
+      else Array.make n infinity
+    in
+    let joins =
+      if spec.Dyn.join_rate > 0. && spec.Dyn.join_max > 0 then begin
+        let jrng = Rng.create (Int64.to_int (Rng.bits64 master)) in
+        let t = ref 0. in
+        Array.init spec.Dyn.join_max (fun k ->
+            t := !t +. Rng.exponential jrng spec.Dyn.join_rate;
+            let cluster = Rng.int jrng clusters in
+            { Dyn.rank = n + k; cluster; at = t0 +. !t })
+      end
+      else [||]
+    in
+    let drift_streams =
+      if spec.Dyn.drift_rate > 0. then
+        Array.init (n * n) (fun _ ->
+            let drng = Rng.create (Int64.to_int (Rng.bits64 master)) in
+            let always_on = spec.Dyn.load_off_mean = 0. in
+            {
+              drng;
+              next_toggle =
+                (if always_on then infinity
+                 else Rng.exponential drng (1. /. spec.Dyn.load_off_mean));
+              next_step = Rng.exponential drng spec.Dyn.drift_rate;
+              on = always_on;
+              w = 1.;
+              segs = [ (0., 1.) ];
+            })
+      else [||]
+    in
+    { spec; n; t0; leave; joins; drift_streams }
+
+  let leave_time t i = if i >= t.n then infinity else t.t0 +. t.leave.(i)
+
+  let clamp spec w = Float.min spec.Dyn.drift_max (Float.max (1. /. spec.Dyn.drift_max) w)
+
+  let materialize t s ~at =
+    let spec = t.spec in
+    while Float.min s.next_toggle s.next_step <= at do
+      if s.next_toggle <= s.next_step then begin
+        let time = s.next_toggle in
+        s.on <- not s.on;
+        s.next_toggle <-
+          time
+          +. Rng.exponential s.drng
+               (1. /. if s.on then spec.Dyn.load_on_mean else spec.Dyn.load_off_mean);
+        s.segs <- (time, if s.on then s.w else 1.) :: s.segs
+      end
+      else begin
+        let time = s.next_step in
+        s.w <- clamp spec (s.w *. Rng.lognormal ~sigma:spec.Dyn.drift_sigma s.drng);
+        s.next_step <- time +. Rng.exponential s.drng spec.Dyn.drift_rate;
+        if s.on then s.segs <- (time, s.w) :: s.segs
+      end
+    done
+
+  let factor t ~src ~dst ~at =
+    if Array.length t.drift_streams = 0 || src = dst || src >= t.n || dst >= t.n then 1.
+    else begin
+      let s = t.drift_streams.((src * t.n) + dst) in
+      let at = at -. t.t0 in
+      materialize t s ~at;
+      match List.find_opt (fun (since, _) -> since <= at) s.segs with
+      | Some (_, f) -> f
+      | None -> 1.
+    end
+end
+
+let lazy_dynamics_match_eager =
+  QCheck.Test.make ~name:"lazily seeded dynamics answer every query as the eager reference"
+    ~count:(Testutil.count 200)
+    QCheck.(
+      make
+        ~print:(fun (n, seed, mask, t0, qs) ->
+          Printf.sprintf "n=%d seed=%d mask=%d t0=%g queries=%d" n seed mask t0
+            (List.length qs))
+        Gen.(
+          let* n = int_range 1 40 in
+          let* seed = int_bound 1_000_000 in
+          let* mask = int_bound 7 in
+          let* t0 = float_bound_inclusive 1e6 in
+          (* Ranks range past [n] so join ranks are queried too. *)
+          let query =
+            triple (int_bound 2) (pair (int_bound (n + 3)) (int_bound (n + 3)))
+              (float_bound_inclusive 2e6)
+          in
+          let* qs = list_size (int_range 1 300) query in
+          return (n, seed, mask, t0, qs)))
+    (fun (n, seed, mask, t0, qs) ->
+      (* One bit per process: drift, churn (leave and join), always-on load. *)
+      let on bit = mask land bit <> 0 in
+      let spec =
+        Dyn.v
+          ~drift_rate:(if on 1 then 2e-5 else 0.)
+          ~leave_rate:(if on 2 then 5e-7 else 0.)
+          ~join_rate:(if on 2 then 5e-7 else 0.)
+          ~load_off_mean:(if on 4 then 0. else Dyn.none.Dyn.load_off_mean)
+          ()
+      in
+      let clusters = 3 in
+      let lz = Dyn.create ~seed ~t0 ~n ~clusters spec in
+      let eg = Eager_dynamics.create ~seed ~t0 ~n ~clusters spec in
+      let total = Dyn.total lz in
+      Dyn.joins lz = eg.Eager_dynamics.joins
+      && List.for_all
+           (fun (kind, (src, dst), at) ->
+             let src = src mod total and dst = dst mod total in
+             let at = t0 +. at in
+             match kind with
+             | 0 -> Float.equal (Dyn.leave_time lz src) (Eager_dynamics.leave_time eg src)
+             | _ ->
+                 Float.equal (Dyn.factor lz ~src ~dst ~at) (Eager_dynamics.factor eg ~src ~dst ~at))
+           qs)
+
 (* --- zero-dynamics bit-identity ----------------------------------------- *)
 
 let dynamics_identity_prop =
@@ -663,6 +807,7 @@ let () =
           quick "query order independence" test_factor_query_order_independence;
           quick "churn pre-drawn books" test_churn_pre_drawn;
           quick "t0 shifts the origin, not the draws" test_t0_shifts_origin;
+          QCheck_alcotest.to_alcotest lazy_dynamics_match_eager;
         ] );
       ( "executor",
         [

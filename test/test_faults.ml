@@ -274,6 +274,195 @@ let test_faults_t0_shifts_origin () =
     (Invalid_argument "Faults.create: t0 must be finite") (fun () ->
       ignore (Faults.create ~t0:nan ~n spec))
 
+(* --- Lazy seeding vs the eager reference --------------------------------- *)
+
+(* Eager seeding, kept as the reference: every directed link's loss
+   stream, then every link's degradation stream, drawn in index order
+   from the master stream after the crash and cut draws.  [Faults], which
+   seeds each link on first use, must answer every query exactly as this
+   model does, in any query order. *)
+module Eager_faults = struct
+  type degrade_stream = {
+    drng : Rng.t;
+    mutable next_start : float;
+    mutable episodes : (float * float) list;
+  }
+
+  type t = {
+    spec : Faults.spec;
+    n : int;
+    t0 : float;
+    crash : float array;
+    cut : float array;
+    loss_streams : Rng.t array;
+    degrade_streams : degrade_stream array;
+  }
+
+  let create ~seed ~t0 ~n (spec : Faults.spec) =
+    let master = Rng.create seed in
+    let links = n * n in
+    let crash =
+      if spec.Faults.crash_rate > 0. then
+        Array.init n (fun _ -> Rng.exponential master spec.Faults.crash_rate)
+      else Array.make n infinity
+    in
+    let cut =
+      if spec.Faults.cut_rate > 0. then
+        Array.init links (fun idx ->
+            if idx / n = idx mod n then infinity
+            else Rng.exponential master spec.Faults.cut_rate)
+      else [||]
+    in
+    let sub_rng () = Rng.create (Int64.to_int (Rng.bits64 master)) in
+    let loss_streams =
+      if spec.Faults.loss > 0. then Array.init links (fun _ -> sub_rng ()) else [||]
+    in
+    let degrade_streams =
+      if spec.Faults.degrade_rate > 0. then
+        Array.init links (fun _ ->
+            let drng = sub_rng () in
+            {
+              drng;
+              next_start = Rng.exponential drng spec.Faults.degrade_rate;
+              episodes = [];
+            })
+      else [||]
+    in
+    { spec; n; t0; crash; cut; loss_streams; degrade_streams }
+
+  let crash_time t i = t.t0 +. t.crash.(i)
+
+  let link_up t ~src ~dst ~at =
+    let cut = if Array.length t.cut = 0 then infinity else t.t0 +. t.cut.((src * t.n) + dst) in
+    cut > at
+
+  let lose t ~src ~dst =
+    if Array.length t.loss_streams = 0 then false
+    else Rng.bernoulli t.loss_streams.((src * t.n) + dst) t.spec.Faults.loss
+
+  let slowdown t ~src ~dst ~at =
+    if Array.length t.degrade_streams = 0 then 1.
+    else begin
+      let s = t.degrade_streams.((src * t.n) + dst) in
+      let at = at -. t.t0 in
+      while s.next_start <= at do
+        let start = s.next_start in
+        let stop = start +. Rng.exponential s.drng (1. /. t.spec.Faults.degrade_mean) in
+        s.episodes <- s.episodes @ [ (start, stop) ];
+        s.next_start <- start +. Rng.exponential s.drng t.spec.Faults.degrade_rate
+      done;
+      if List.exists (fun (start, stop) -> start <= at && at < stop) s.episodes then
+        t.spec.Faults.degrade_factor
+      else 1.
+    end
+end
+
+let lazy_faults_match_eager =
+  QCheck.Test.make ~name:"lazily seeded faults answer every query as the eager reference"
+    ~count:(Testutil.count 300)
+    QCheck.(
+      make
+        ~print:(fun (n, seed, mask, t0, qs) ->
+          Printf.sprintf "n=%d seed=%d mask=%d t0=%g queries=%d" n seed mask t0
+            (List.length qs))
+        Gen.(
+          let* n = int_range 1 40 in
+          let* seed = int_bound 1_000_000 in
+          let* mask = int_bound 15 in
+          let* t0 = float_bound_inclusive 1e6 in
+          let query = quad (int_bound 4) (int_bound (n - 1)) (int_bound (n - 1)) (float_bound_inclusive 4e6) in
+          let* qs = list_size (int_range 1 300) query in
+          return (n, seed, mask, t0, qs)))
+    (fun (n, seed, mask, t0, qs) ->
+      (* One bit per process: loss, cut, degrade, crash. *)
+      let on bit = mask land bit <> 0 in
+      let spec =
+        Faults.v
+          ~loss:(if on 1 then 0.3 else 0.)
+          ~cut_rate:(if on 2 then 5e-7 else 0.)
+          ~degrade_rate:(if on 4 then 1e-6 else 0.)
+          ~degrade_mean:2e5
+          ~crash_rate:(if on 8 then 3e-7 else 0.)
+          ()
+      in
+      let lz = Faults.create ~seed ~t0 ~n spec in
+      let eg = Eager_faults.create ~seed ~t0 ~n spec in
+      List.for_all
+        (fun (kind, src, dst, at) ->
+          let at = t0 +. at in
+          match kind with
+          | 0 -> Faults.lose lz ~src ~dst = Eager_faults.lose eg ~src ~dst
+          | 1 ->
+              Float.equal (Faults.slowdown lz ~src ~dst ~at)
+                (Eager_faults.slowdown eg ~src ~dst ~at)
+          | 2 -> Faults.link_up lz ~src ~dst ~at = Eager_faults.link_up eg ~src ~dst ~at
+          | 3 -> Float.equal (Faults.crash_time lz src) (Eager_faults.crash_time eg src)
+          | _ ->
+              (* A burst on one link, as a retransmission storm would. *)
+              List.for_all
+                (fun _ -> Faults.lose lz ~src ~dst = Eager_faults.lose eg ~src ~dst)
+                [ 1; 2; 3; 4; 5 ])
+        qs)
+
+(* --- Bounded set-up ------------------------------------------------------- *)
+
+(* Words allocated by [f ()]: minor allocation plus direct major
+   allocation (major words that were not promoted from the minor heap).
+   [Gc.counters] includes major allocation not yet accounted to a major
+   slice, which [Gc.quick_stat] can miss. *)
+let allocated_words f =
+  let minor0 = Gc.minor_words () and _, promoted0, major0 = Gc.counters () in
+  ignore (Sys.opaque_identity (f ()));
+  let minor1 = Gc.minor_words () and _, promoted1, major1 = Gc.counters () in
+  minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0)
+
+(* Per-session state must scale with the ranks, not the rank pairs: a
+   tenfold population may cost at most fifteen times the words. *)
+let check_linear name f =
+  let small = allocated_words (fun () -> f 100) in
+  let large = allocated_words (fun () -> f 1000) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%s: %.0f words at n=100, %.0f at n=1000" name small large)
+    true
+    (large <= 15. *. small)
+
+let test_setup_linear_in_n () =
+  let spec = Faults.v ~loss:0.1 ~degrade_rate:1e-6 ~crash_rate:1e-8 () in
+  check_linear "Faults.create" (fun n -> Faults.create ~seed:3 ~n spec);
+  check_linear "Adaptive.create" (fun n -> Adaptive.create ~n ());
+  check_linear "fault-free launch_reliable" (fun n ->
+      let grid =
+        Generators.homogeneous ~n:4 ~cluster_size:(n / 4)
+          ~inter:(Params.linear ~latency:5000. ~g0:10. ~bandwidth_mb_s:10.)
+          ~intra:(Params.linear ~latency:50. ~g0:1. ~bandwidth_mb_s:100.)
+      in
+      let machines, plan = plan_of_grid ~msg:65_536 grid in
+      let wire = Gridb_des.Wire.create ~n:(Machines.count machines) in
+      let engine = Engine.create () in
+      let config = Gridb_des.Session.Config.v ~msg:65_536 ~transport:(Exec.adaptive ()) () in
+      allocated_words (fun () ->
+          Gridb_des.Session.launch_reliable ~wire ~engine config machines plan))
+
+let test_read_sweep_materialises_nothing () =
+  let n = 200 in
+  let est = Adaptive.create ~n () in
+  for src = 0 to n - 1 do
+    for dst = 0 to n - 1 do
+      ignore (Adaptive.quality est ~src ~dst);
+      ignore (Adaptive.usable_now est ~src ~dst ~now:0.);
+      ignore (Adaptive.circuit est ~src ~dst);
+      ignore (Adaptive.srtt est ~src ~dst);
+      ignore (Adaptive.samples est ~src ~dst)
+    done
+  done;
+  ignore (Adaptive.estimated_latency_matrix est ~nominal:(fun ~src:_ ~dst:_ -> 1.));
+  Alcotest.(check int) "no materialised links" 0
+    (Array.length (Adaptive.quality_entries est));
+  ignore (Adaptive.rto est ~src:1 ~dst:2 ~nominal:10. ~fallback:20.);
+  Alcotest.(check (array (pair int (float 0.))))
+    "an update materialises its link only" [| ((1 * n) + 2, 1.) |]
+    (Adaptive.quality_entries est)
+
 (* --- Reliable executor -------------------------------------------------- *)
 
 (* The zero-fault identity must hold for every transport — the adaptive
@@ -825,6 +1014,12 @@ let () =
           QCheck_alcotest.to_alcotest spec_roundtrip_property;
           quick "deterministic" test_faults_deterministic;
           quick "t0 shifts the origin, not the draws" test_faults_t0_shifts_origin;
+          QCheck_alcotest.to_alcotest lazy_faults_match_eager;
+        ] );
+      ( "bounded setup",
+        [
+          quick "per-session state linear in n" test_setup_linear_in_n;
+          quick "estimator reads materialise nothing" test_read_sweep_materialises_nothing;
         ] );
       ( "reliable",
         [

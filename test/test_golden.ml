@@ -195,6 +195,56 @@ let test_exec_corpus_golden () =
     "exec corpus digest" exec_corpus_digest
     (Digest.to_hex (Digest.string (Buffer.contents buf)))
 
+(* Golden pins of the chaotic service path: MD5 of [Server.smoke_lines] for
+   seeded chaotic [Server.run] calls on GRID5000, recorded before per-link
+   session state became lazy.  [chaos_serve_smoke_digest] is batch 0 of
+   the serve-chaos benchmark workload (the [gridsched serve --seed 2006]
+   stream); [cut_serve_smoke_digest] adds permanent cuts and degradation
+   on top of loss, so a per-link stream seeded from the wrong offset past
+   the cut draws moves it. *)
+let chaos_serve_smoke_digest = "3f84fb1cb31c26220492ea31c18ba90b"
+let cut_serve_smoke_digest = "ae87c7cbee8f3bad1175d303d4c225d5"
+
+let chaos_serve_lines ~faults ~transport ?dynamics ~duration () =
+  let module Machines = Gridb_topology.Machines in
+  let module Faults = Gridb_des.Faults in
+  let module Dynamics = Gridb_des.Dynamics in
+  let module Exec = Gridb_des.Exec in
+  let module Workload = Gridb_service.Workload in
+  let module Admission = Gridb_service.Admission in
+  let module Server = Gridb_service.Server in
+  let ok = function Ok v -> v | Error e -> Alcotest.failf "bad spec: %s" e in
+  let machines = Machines.expand (Gridb_topology.Grid5000.grid ()) in
+  let mix = ok (Workload.mix_of_string machines "deadlines=4000000,high=0.3") in
+  let requests = Workload.generate ~mix ~seed:2006 ~rate:(5. /. 1e6) ~duration machines in
+  let admission =
+    Admission.create ~max_concurrent:64
+      ~shed:(Admission.shed ~watermark_us:5e5 ~max_open_frac:0.5 ())
+      ()
+  in
+  let report =
+    Server.run ~transport:(ok (Exec.transport_of_string transport)) ~admission ~seed:2007
+      ~faults:(ok (Faults.of_string faults))
+      ?dynamics:(Option.map (fun d -> ok (Dynamics.of_string d)) dynamics)
+      ~retry:(Server.retry ~budget:2 ()) machines requests
+  in
+  String.concat "\n" (Server.smoke_lines report)
+
+let chaos_serve_smoke () =
+  chaos_serve_lines ~faults:"loss=0.1,crash=2e-9" ~transport:"adaptive" ~duration:6.25e6 ()
+
+let cut_serve_smoke () =
+  chaos_serve_lines ~faults:"loss=0.1,cut=2e-8,degrade=1e-7,crash=2e-9"
+    ~transport:"adaptive,reroute" ~dynamics:"drift=2e-5" ~duration:6.25e6 ()
+
+let test_chaos_serve_golden () =
+  Alcotest.(check string)
+    "chaotic serve smoke digest" chaos_serve_smoke_digest
+    (Digest.to_hex (Digest.string (chaos_serve_smoke ())));
+  Alcotest.(check string)
+    "cut+loss serve smoke digest" cut_serve_smoke_digest
+    (Digest.to_hex (Digest.string (cut_serve_smoke ())))
+
 let regen () =
   let grid = Gridb_topology.Grid5000.grid () in
   let inst = Instance.of_grid ~root:0 ~msg:1_000_000 grid in
@@ -223,7 +273,10 @@ let regen () =
   let buf = exec_corpus_buffer () in
   Printf.printf "exec corpus: digest %s, %d bytes\n"
     (Digest.to_hex (Digest.string (Buffer.contents buf)))
-    (Buffer.length buf)
+    (Buffer.length buf);
+  Printf.printf "chaotic serve smoke: digest %s\ncut+loss serve smoke: digest %s\n"
+    (Digest.to_hex (Digest.string (chaos_serve_smoke ())))
+    (Digest.to_hex (Digest.string (cut_serve_smoke ())))
 
 let () =
   if Array.length Sys.argv > 1 && Sys.argv.(1) = "regen" then regen ()
@@ -238,6 +291,7 @@ let () =
             quick "rng stream" test_rng_stream_golden;
             quick "grid5000 instance values" test_grid5000_instance_golden;
             quick "pre-refactor executor corpus digest" test_exec_corpus_golden;
+            quick "chaotic serve smoke digests" test_chaos_serve_golden;
           ] );
       ]
   end

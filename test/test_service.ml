@@ -84,6 +84,22 @@ let test_fingerprint_to_string () =
         (match c with '0' .. '9' | 'a' .. 'f' -> true | _ -> false))
     s
 
+(* Pinned values: the hash must not depend on how the per-pair parameters
+   are gathered.  GRID5000 has intra-cluster pairs on every cluster; the
+   random grids include single-machine clusters. *)
+let test_fingerprint_pinned () =
+  Alcotest.(check string)
+    "GRID5000" "21fd0a139f8b6983"
+    (Fingerprint.to_string
+       (Fingerprint.of_machines (Machines.expand (Gridb_topology.Grid5000.grid ()))));
+  List.iter
+    (fun (seed, want) ->
+      Alcotest.(check string)
+        (Printf.sprintf "random grid seed %d" seed)
+        want
+        (Fingerprint.to_string (Fingerprint.of_machines (machines_of_seed seed))))
+    [ (0, "0d12c7cd83161d3d"); (1, "6e794c5ac6ac246d"); (2, "867c64ee112cc4a5") ]
+
 (* --- plan cache -------------------------------------------------------- *)
 
 let test_bucket_of_size () =
@@ -766,6 +782,7 @@ let () =
           quick "distinguishes random grids" test_fingerprint_distinguishes_grids;
           quick "sensitive to one-link perturbation" test_fingerprint_sensitive_to_perturbation;
           quick "hex rendering" test_fingerprint_to_string;
+          quick "pinned values" test_fingerprint_pinned;
         ] );
       ( "plan-cache",
         [

@@ -79,6 +79,43 @@ let test_rng_split_rejects_negative () =
     (Invalid_argument "Rng.split: negative stream index") (fun () ->
       ignore (Rng.split (Rng.create 1) (-1)))
 
+(* [peek t k] against the definition: the (k+1)-th output of a copy. *)
+let nth_output t k =
+  let c = Rng.copy t in
+  for _ = 1 to k do
+    ignore (Rng.bits64 c)
+  done;
+  Rng.bits64 c
+
+let test_rng_peek_matches_stream =
+  QCheck.Test.make ~name:"Rng.peek t k = (k+1)-th bits64 of a copy"
+    ~count:(Testutil.count 200)
+    QCheck.(triple int (int_bound 50) (int_bound 3_000))
+    (fun (seed, warmup, k) ->
+      let t = Rng.create seed in
+      for _ = 1 to warmup do
+        ignore (Rng.bits64 t)
+      done;
+      let before = Rng.copy t in
+      let peeked = Rng.peek t k in
+      (* Pure: [t] is not advanced. *)
+      Int64.equal peeked (nth_output t k) && Int64.equal (Rng.bits64 t) (Rng.bits64 before))
+
+let test_rng_peek_edges () =
+  let t = Rng.create 2006 in
+  Alcotest.(check int64) "k = 0 is the next output" (Rng.bits64 (Rng.copy t)) (Rng.peek t 0);
+  Alcotest.(check int64) "k = 1_000_000" (nth_output t 1_000_000) (Rng.peek t 1_000_000);
+  (* Beyond iteration: one draw shifts every offset by one, up to max_int,
+     where k + 1 no longer fits a native int. *)
+  let next = Rng.copy t in
+  ignore (Rng.bits64 next);
+  List.iter
+    (fun k ->
+      Alcotest.(check int64) (Printf.sprintf "k = %d" k) (Rng.peek next (k - 1)) (Rng.peek t k))
+    [ 1 lsl 40; max_int - 1; max_int ];
+  Alcotest.check_raises "negative offset" (Invalid_argument "Rng.peek: negative offset")
+    (fun () -> ignore (Rng.peek t (-1)))
+
 (* --- Pool -------------------------------------------------------------- *)
 
 module Pool = Gridb_util.Pool
@@ -662,6 +699,8 @@ let () =
           quick "split deterministic" test_rng_split_deterministic;
           quick "split collision-free" test_rng_split_collision_free;
           quick "split rejects negative" test_rng_split_rejects_negative;
+          QCheck_alcotest.to_alcotest test_rng_peek_matches_stream;
+          quick "peek edges" test_rng_peek_edges;
           quick "int bounds" test_rng_int_bounds;
           quick "int_in bounds" test_rng_int_in_bounds;
           quick "int rejects" test_rng_int_rejects;
