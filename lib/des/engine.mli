@@ -32,14 +32,15 @@ val now : t -> float
 
 val schedule : t -> time:float -> (t -> unit) -> unit
 (** Enqueue a callback at an absolute time.
-    @raise Invalid_argument if [time] is in the past (< [now t]). *)
+    @raise Invalid_argument if [time] is NaN or in the past (< [now t]). *)
 
 val schedule_after : t -> delay:float -> (t -> unit) -> unit
-(** Relative variant.  @raise Invalid_argument if [delay < 0.]. *)
+(** Relative variant.  @raise Invalid_argument if [delay] is NaN or
+    [delay < 0.]. *)
 
 val schedule_timer : t -> time:float -> (t -> unit) -> timer
 (** Like {!schedule}, returning a handle usable with {!cancel}.
-    @raise Invalid_argument if [time] is in the past. *)
+    @raise Invalid_argument if [time] is NaN or in the past. *)
 
 val cancel : t -> timer -> unit
 (** Mark the timer's event dead; it will never execute.  Cancelling an

@@ -22,9 +22,13 @@ let clear t = t.size <- 0
 
 (* Strict "a sorts before b" under the heap order; equal scores break
    towards the smaller id in both orders so drain sequences are fully
-   deterministic. *)
-let before t sa ia sb ib =
-  match t.order with
+   deterministic.  The [float]/[int] annotations are load-bearing: left
+   polymorphic, every sift comparison would box both scores and call the
+   generic [caml_lessthan]; typed and inlined, it compiles to two unboxed
+   float compares and allocates nothing.  The standalone heap and [Bank]
+   share this one definition. *)
+let[@inline] before order (sa : float) (ia : int) (sb : float) (ib : int) =
+  match order with
   | Min -> sa < sb || (sa = sb && ia < ib)
   | Max -> sa > sb || (sa = sb && ia < ib)
 
@@ -49,7 +53,7 @@ let swap t i j =
 let rec sift_up t i =
   if i > 0 then begin
     let parent = (i - 1) / 2 in
-    if before t t.scores.(i) t.ids.(i) t.scores.(parent) t.ids.(parent) then begin
+    if before t.order t.scores.(i) t.ids.(i) t.scores.(parent) t.ids.(parent) then begin
       swap t i parent;
       sift_up t parent
     end
@@ -58,9 +62,9 @@ let rec sift_up t i =
 let rec sift_down t i =
   let l = (2 * i) + 1 and r = (2 * i) + 2 in
   let first = ref i in
-  if l < t.size && before t t.scores.(l) t.ids.(l) t.scores.(!first) t.ids.(!first)
+  if l < t.size && before t.order t.scores.(l) t.ids.(l) t.scores.(!first) t.ids.(!first)
   then first := l;
-  if r < t.size && before t t.scores.(r) t.ids.(r) t.scores.(!first) t.ids.(!first)
+  if r < t.size && before t.order t.scores.(r) t.ids.(r) t.scores.(!first) t.ids.(!first)
   then first := r;
   if !first <> i then begin
     swap t i !first;
@@ -112,7 +116,7 @@ let check_invariant t =
   let ok = ref true in
   for i = 1 to t.size - 1 do
     let p = (i - 1) / 2 in
-    if before t t.scores.(i) t.ids.(i) t.scores.(p) t.ids.(p) then ok := false
+    if before t.order t.scores.(i) t.ids.(i) t.scores.(p) t.ids.(p) then ok := false
   done;
   !ok
 
@@ -161,11 +165,6 @@ module Bank = struct
     check_row t r "reset";
     t.sizes.(r) <- 0
 
-  let before t sa ia sb ib =
-    match t.order with
-    | Min -> sa < sb || (sa = sb && ia < ib)
-    | Max -> sa > sb || (sa = sb && ia < ib)
-
   let swap t i j =
     let s = t.scores.(i) and d = t.ids.(i) in
     t.scores.(i) <- t.scores.(j);
@@ -178,7 +177,7 @@ module Bank = struct
     if i > 0 then begin
       let parent = (i - 1) / 2 in
       if
-        before t
+        before t.order
           t.scores.(base + i)
           t.ids.(base + i)
           t.scores.(base + parent)
@@ -194,7 +193,7 @@ module Bank = struct
     let first = ref i in
     if
       l < size
-      && before t
+      && before t.order
            t.scores.(base + l)
            t.ids.(base + l)
            t.scores.(base + !first)
@@ -202,7 +201,7 @@ module Bank = struct
     then first := l;
     if
       r < size
-      && before t
+      && before t.order
            t.scores.(base + r)
            t.ids.(base + r)
            t.scores.(base + !first)
@@ -264,7 +263,7 @@ module Bank = struct
     for i = 1 to t.sizes.(r) - 1 do
       let p = (i - 1) / 2 in
       if
-        before t
+        before t.order
           t.scores.(base + i)
           t.ids.(base + i)
           t.scores.(base + p)

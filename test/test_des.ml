@@ -83,6 +83,246 @@ let test_engine_run_until () =
   Engine.run e;
   check_feq "late event still fires" 10. (Engine.now e)
 
+(* NaN compares false with everything, so it slips past the past-time and
+   negative-delay guards; each entry point must reject it outright. *)
+let test_engine_rejects_nan_schedule () =
+  let e = Engine.create () in
+  Alcotest.check_raises "NaN time" (Invalid_argument "Engine.schedule: NaN time") (fun () ->
+      Engine.schedule e ~time:Float.nan (fun _ -> ()));
+  Alcotest.(check int) "nothing queued" 0 (Engine.pending e)
+
+let test_engine_rejects_nan_schedule_after () =
+  let e = Engine.create () in
+  Alcotest.check_raises "NaN delay" (Invalid_argument "Engine.schedule_after: NaN delay")
+    (fun () -> Engine.schedule_after e ~delay:Float.nan (fun _ -> ()));
+  Alcotest.(check int) "nothing queued" 0 (Engine.pending e)
+
+let test_engine_rejects_nan_schedule_timer () =
+  let e = Engine.create () in
+  Alcotest.check_raises "NaN time" (Invalid_argument "Engine.schedule_timer: NaN time")
+    (fun () -> ignore (Engine.schedule_timer e ~time:Float.nan (fun _ -> ())));
+  Alcotest.(check int) "nothing queued" 0 (Engine.pending e)
+
+(* A self-rescheduling chain behind [pending - 1] far-future fillers: each
+   chain event sifts from a fresh leaf up to the root and, once fired, the
+   last filler sinks from the root back down, log2(pending) levels each
+   way.  The words allocated per event must not depend on that depth. *)
+let chain_words_per_event ~pending =
+  let e = Engine.create () in
+  for _ = 2 to pending do
+    Engine.schedule e ~time:1e18 (fun _ -> ())
+  done;
+  let events = 10_000 and fired = ref 0 in
+  let rec tick e =
+    incr fired;
+    if !fired < events then Engine.schedule_after e ~delay:1. tick
+  in
+  Engine.schedule e ~time:0. tick;
+  let before = Gc.minor_words () in
+  Engine.run_until e 1e17;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check int) "chain fired" events !fired;
+  words /. float_of_int events
+
+let test_engine_allocation_independent_of_depth () =
+  let shallow = chain_words_per_event ~pending:2 in
+  let deep = chain_words_per_event ~pending:4096 in
+  Alcotest.(check bool)
+    (Printf.sprintf "words/event %.2f at 2 pending vs %.2f at 4096" shallow deep)
+    true
+    (Float.abs (deep -. shallow) <= 1.)
+
+(* A far-future event keeps the queue non-empty for the whole run, so a
+   queue that only recycled its storage when it emptied would keep every
+   fired closure, and what it captured, reachable.  Events come in waves
+   of equal-time siblings, the last of which arms the next wave; draining
+   the final wave leaves vacated slots behind, which must not pin it. *)
+let test_engine_releases_fired_events () =
+  let n = 100_000 and wave = 16 in
+  let e = Engine.create () in
+  Engine.schedule e ~time:1e18 (fun _ -> ());
+  let captured = Weak.create n in
+  let rec arm w e =
+    if w * wave < n then
+      for j = 0 to wave - 1 do
+        let payload = Bytes.make 8 'x' in
+        Weak.set captured ((w * wave) + j) (Some payload);
+        Engine.schedule_after e ~delay:1. (fun e ->
+            ignore (Sys.opaque_identity payload);
+            if j = wave - 1 then arm (w + 1) e)
+      done
+  in
+  arm 0 e;
+  Engine.run_until e 1e17;
+  Alcotest.(check int) "all fired" n (Engine.processed e);
+  Gc.full_major ();
+  let reachable = ref 0 in
+  for i = 0 to n - 1 do
+    if Weak.check captured i then incr reachable
+  done;
+  Alcotest.(check int) "captured values collected" 0 !reachable;
+  (* Used after the collection, so the engine itself stayed reachable. *)
+  Alcotest.(check int) "far-future event still queued" 1 (Engine.pending e)
+
+(* --- Event heap ---------------------------------------------------------- *)
+
+(* The engine's event queue is a private binary heap keyed on (time,
+   insertion seq); these cases drive it through the public API. *)
+
+let schedule_logged e log x =
+  Engine.schedule e ~time:(float_of_int x) (fun _ -> log := x :: !log)
+
+let test_heap_sorts () =
+  let rng = Rng.create 21 in
+  let xs = List.init 200 (fun _ -> Rng.int rng 1000) in
+  let e = Engine.create () and log = ref [] in
+  List.iter (schedule_logged e log) xs;
+  Engine.run e;
+  Alcotest.(check (list int)) "fires sorted" (List.sort compare xs) (List.rev !log);
+  Alcotest.(check int) "empty after drain" 0 (Engine.pending e)
+
+let test_heap_of_array () =
+  let e = Engine.create () and log = ref [] in
+  Array.iter (schedule_logged e log) [| 5; 1; 4; 2; 3 |];
+  Alcotest.(check int) "all pending" 5 (Engine.pending e);
+  Engine.run e;
+  Alcotest.(check (list int)) "sorted" [ 1; 2; 3; 4; 5 ] (List.rev !log)
+
+let test_heap_peek_pop () =
+  let e = Engine.create () and log = ref [] in
+  Alcotest.(check bool) "step on empty" false (Engine.step e);
+  Alcotest.(check int) "nothing pending" 0 (Engine.pending e);
+  schedule_logged e log 3;
+  schedule_logged e log 1;
+  Alcotest.(check int) "two pending" 2 (Engine.pending e);
+  Alcotest.(check bool) "step fires" true (Engine.step e);
+  Alcotest.(check (list int)) "min first" [ 1 ] !log;
+  check_feq "clock at min" 1. (Engine.now e);
+  Alcotest.(check int) "one pending" 1 (Engine.pending e);
+  Engine.run e;
+  Alcotest.(check bool) "drained" false (Engine.step e);
+  Alcotest.(check int) "processed" 2 (Engine.processed e)
+
+(* Each fired event is the minimum of what was pending at that moment. *)
+let test_heap_invariant_random =
+  QCheck.Test.make ~name:"heap invariant after random ops" ~count:(Testutil.count 200)
+    QCheck.(list (int_bound 1000))
+    (fun xs ->
+      let e = Engine.create () in
+      let pending = ref [] and ok = ref true in
+      let rec remove_one x = function
+        | [] -> []
+        | y :: ys -> if y = x then ys else y :: remove_one x ys
+      in
+      let fire time _ =
+        ok := !ok && List.for_all (fun p -> time <= p) !pending;
+        pending := remove_one time !pending
+      in
+      List.iteri
+        (fun i x ->
+          if i mod 3 = 2 then ignore (Engine.step e)
+          else begin
+            let time = Engine.now e +. float_of_int x in
+            pending := time :: !pending;
+            Engine.schedule e ~time (fire time)
+          end)
+        xs;
+      !ok && Engine.pending e = List.length !pending)
+
+let test_heap_stability_order () =
+  let e = Engine.create () and log = ref [] in
+  List.iter
+    (fun (time, tag) -> Engine.schedule e ~time (fun _ -> log := tag :: !log))
+    [ (1., "a"); (1., "b"); (0., "c"); (1., "d") ];
+  Alcotest.(check int) "4 events" 4 (Engine.pending e);
+  Engine.run e;
+  Alcotest.(check (list string)) "min first, then FIFO among ties" [ "c"; "a"; "b"; "d" ]
+    (List.rev !log)
+
+(* Differential test of the event queue against a stable sorted-list
+   model: random schedule / schedule_timer / cancel / step / run_until
+   sequences over offsets in [0, 4] (so equal times abound) must agree on
+   the firing order, [now], [processed], [pending] and every timer's
+   liveness after every operation. *)
+type model_event = { m_time : float; m_seq : int; m_live : bool ref }
+
+let test_heap_differential =
+  QCheck.Test.make ~name:"binary heap vs stable reference model" ~count:(Testutil.count 300)
+    QCheck.(list_of_size (Gen.int_bound 150) (pair (int_bound 5) (int_bound 4)))
+    (fun ops ->
+      let e = Engine.create () in
+      let fired = ref [] and model_fired = ref [] in
+      let queue = ref [] and clock = ref 0. and processed = ref 0 and seq = ref 0 in
+      let timers = ref [] in
+      let add time =
+        let ev = { m_time = time; m_seq = !seq; m_live = ref true } in
+        incr seq;
+        queue := ev :: !queue;
+        ev
+      in
+      let model_step () =
+        let live = List.filter (fun ev -> !(ev.m_live)) !queue in
+        match List.sort (fun a b -> compare (a.m_time, a.m_seq) (b.m_time, b.m_seq)) live with
+        | [] -> None
+        | ev :: _ ->
+            queue := List.filter (fun o -> o != ev) !queue;
+            ev.m_live := false;
+            clock := ev.m_time;
+            incr processed;
+            model_fired := ev.m_seq :: !model_fired;
+            Some ev.m_time
+      in
+      let rec model_run_until h =
+        let next =
+          List.fold_left
+            (fun acc ev -> if !(ev.m_live) then Float.min acc ev.m_time else acc)
+            infinity !queue
+        in
+        if next <= h then begin
+          ignore (model_step ());
+          model_run_until h
+        end
+        else if !clock < h then clock := h
+      in
+      let logged id _ = fired := id :: !fired in
+      List.for_all
+        (fun (kind, k) ->
+          let time = !clock +. float_of_int k in
+          let step_agrees =
+            match kind with
+            | 0 | 1 ->
+                let ev = add time in
+                Engine.schedule e ~time (logged ev.m_seq);
+                true
+            | 2 ->
+                let ev = add time in
+                timers := (Engine.schedule_timer e ~time (logged ev.m_seq), ev.m_live) :: !timers;
+                true
+            | 3 ->
+                (match !timers with
+                | [] -> ()
+                | l ->
+                    let handle, live = List.nth l (k mod List.length l) in
+                    Engine.cancel e handle;
+                    live := false);
+                true
+            | 4 ->
+                let stepped = Engine.step e in
+                stepped = Option.is_some (model_step ())
+            | _ ->
+                Engine.run_until e time;
+                model_run_until time;
+                true
+          in
+          step_agrees
+          && !fired = !model_fired
+          && Engine.now e = !clock
+          && Engine.processed e = !processed
+          && Engine.pending e
+             = List.length (List.filter (fun ev -> !(ev.m_live)) !queue)
+          && List.for_all (fun (handle, live) -> Engine.timer_live handle = !live) !timers)
+        ops)
+
 (* --- Noise ------------------------------------------------------------- *)
 
 let test_noise_exact () =
@@ -363,6 +603,21 @@ let () =
           quick "cascading" test_engine_cascading;
           quick "rejects past" test_engine_rejects_past;
           quick "run_until" test_engine_run_until;
+          quick "schedule rejects NaN" test_engine_rejects_nan_schedule;
+          quick "schedule_after rejects NaN" test_engine_rejects_nan_schedule_after;
+          quick "schedule_timer rejects NaN" test_engine_rejects_nan_schedule_timer;
+          quick "words per event flat in depth"
+            test_engine_allocation_independent_of_depth;
+          quick "fired events are released" test_engine_releases_fired_events;
+        ] );
+      ( "heap",
+        [
+          quick "sorts" test_heap_sorts;
+          quick "of_array" test_heap_of_array;
+          quick "peek/pop" test_heap_peek_pop;
+          QCheck_alcotest.to_alcotest test_heap_invariant_random;
+          quick "ties" test_heap_stability_order;
+          QCheck_alcotest.to_alcotest test_heap_differential;
         ] );
       ( "noise",
         [

@@ -2,7 +2,6 @@
 
 module Rng = Gridb_util.Rng
 module Stats = Gridb_util.Stats
-module Heap = Gridb_util.Binary_heap
 module Units = Gridb_util.Units
 
 let feq ?(eps = 1e-9) a b =
@@ -350,90 +349,6 @@ let test_stats_online_merge () =
   check_feq "merged variance" (Stats.variance xs) (Stats.Online.variance merged);
   Alcotest.(check int) "merged count" 400 (Stats.Online.count merged)
 
-(* --- Binary heap ------------------------------------------------------ *)
-
-let int_key x = float_of_int x
-
-let test_heap_sorts () =
-  let rng = Rng.create 21 in
-  let xs = List.init 200 (fun _ -> Rng.int rng 1000) in
-  let h = Heap.create ~key:int_key () in
-  List.iter (Heap.add h) xs;
-  Alcotest.(check (list int)) "drains sorted" (List.sort compare xs) (Heap.to_sorted_list h);
-  Alcotest.(check int) "empty after drain" 0 (Heap.length h)
-
-let test_heap_of_array () =
-  let h = Heap.of_array ~key:int_key [| 5; 1; 4; 2; 3 |] in
-  Alcotest.(check bool) "invariant holds" true (Heap.check_invariant h);
-  Alcotest.(check (list int)) "sorted" [ 1; 2; 3; 4; 5 ] (Heap.to_sorted_list h)
-
-let test_heap_peek_pop () =
-  let h = Heap.create ~key:int_key () in
-  Alcotest.(check (option int)) "peek empty" None (Heap.peek h);
-  Alcotest.(check (option int)) "pop empty" None (Heap.pop h);
-  Heap.add h 3;
-  Heap.add h 1;
-  Alcotest.(check (option int)) "peek min" (Some 1) (Heap.peek h);
-  Alcotest.(check int) "peek does not remove" 2 (Heap.length h);
-  Alcotest.(check int) "pop_exn" 1 (Heap.pop_exn h);
-  Heap.clear h;
-  Alcotest.(check bool) "cleared" true (Heap.is_empty h)
-
-let test_heap_invariant_random =
-  QCheck.Test.make ~name:"heap invariant after random ops" ~count:(Testutil.count 200)
-    QCheck.(list (int_bound 1000))
-    (fun xs ->
-      let h = Heap.create ~key:int_key () in
-      List.iteri
-        (fun i x -> if i mod 3 = 2 then ignore (Heap.pop h) else Heap.add h x)
-        xs;
-      Heap.check_invariant h)
-
-let test_heap_stability_order () =
-  (* Equal keys pop in insertion (FIFO) order: the keyed heap inherits
-     Score_heap's smaller-id tie-break over insertion sequence numbers. *)
-  let h = Heap.create ~key:(fun (a, _) -> float_of_int a) () in
-  List.iter (Heap.add h) [ (1, "a"); (1, "b"); (0, "c"); (1, "d") ];
-  Alcotest.(check int) "4 elements" 4 (Heap.length h);
-  Alcotest.(check (list string)) "min first, then FIFO among ties"
-    [ "c"; "a"; "b"; "d" ]
-    (List.map snd (Heap.to_sorted_list h))
-
-(* Differential test of the two heap structures: random push/pop sequences
-   must agree between Binary_heap (keyed, over Score_heap) and a naive
-   stable reference model.  This pins down both the shared sift core and
-   the FIFO tie-break the DES engine relies on. *)
-let test_heap_differential =
-  QCheck.Test.make ~name:"binary heap vs stable reference model" ~count:(Testutil.count 300)
-    QCheck.(list (pair bool (int_bound 20)))
-    (fun ops ->
-      (* Elements are (key, unique insertion seq): equal keys abound (keys
-         are drawn from [0, 20]) so the FIFO tie-break is exercised, and the
-         unique seq makes every pop's expected payload unambiguous. *)
-      let h = Heap.create ~key:(fun (k, _) -> float_of_int k) () in
-      let model = ref [] in
-      let seq = ref 0 in
-      List.for_all
-        (fun (is_pop, k) ->
-          if is_pop then begin
-            let expected =
-              match List.sort compare !model with
-              | [] -> None
-              | hd :: _ ->
-                  model := List.filter (fun e -> e <> hd) !model;
-                  Some hd
-            in
-            Heap.pop h = expected && Heap.check_invariant h
-          end
-          else begin
-            let e = (k, !seq) in
-            incr seq;
-            Heap.add h e;
-            model := e :: !model;
-            Heap.length h = List.length !model && Heap.check_invariant h
-          end)
-        ops)
-
 (* --- Score heap ------------------------------------------------------- *)
 
 module Score_heap = Gridb_util.Score_heap
@@ -557,6 +472,47 @@ let test_bank_bounds () =
     (fun () -> ignore (Score_heap.Bank.create ~rows:1 ~cap:0 ~order:Score_heap.Min));
   Alcotest.check_raises "bad row" (Invalid_argument "Score_heap.Bank.push: bad row")
     (fun () -> Score_heap.Bank.push bank 2 1. 0)
+
+(* Sift comparisons must not box: a push + drop_top pair allocates nothing
+   at any heap size.  [Gc.minor_words] deltas are deterministic.  The
+   operation scores sit pre-boxed in a list so the measured loop allocates
+   nothing of its own (a score read out of a [float array] would be boxed
+   afresh for every call). *)
+let op_scores = List.init 1000 (fun i -> float_of_int ((i * 7919) mod 1013))
+
+let minor_words_per_op ~size push drop =
+  for i = 0 to size - 1 do
+    push (float_of_int ((i * 7717) mod 1009)) i
+  done;
+  let rec go id = function
+    | [] -> ()
+    | s :: rest ->
+        push s id;
+        drop ();
+        go (id + 1) rest
+  in
+  let before = Gc.minor_words () in
+  go size op_scores;
+  (Gc.minor_words () -. before) /. float_of_int (List.length op_scores)
+
+let test_score_heap_allocation_free () =
+  List.iter
+    (fun order ->
+      List.iter
+        (fun size ->
+          let h = Score_heap.create ~order () in
+          Alcotest.(check (float 0.))
+            (Printf.sprintf "heap words/op at size %d" size)
+            0.
+            (minor_words_per_op ~size (Score_heap.push h) (fun () -> Score_heap.drop_top h));
+          let bank = Score_heap.Bank.create ~rows:2 ~cap:(size + 1) ~order in
+          Alcotest.(check (float 0.))
+            (Printf.sprintf "bank words/op at size %d" size)
+            0.
+            (minor_words_per_op ~size (Score_heap.Bank.push bank 1) (fun () ->
+                 Score_heap.Bank.drop_top bank 1)))
+        [ 2; 4096 ])
+    [ Score_heap.Min; Score_heap.Max ]
 
 (* --- Units ------------------------------------------------------------ *)
 
@@ -724,15 +680,6 @@ let () =
           quick "online matches batch" test_stats_online_matches_batch;
           quick "online merge" test_stats_online_merge;
         ] );
-      ( "heap",
-        [
-          quick "sorts" test_heap_sorts;
-          quick "of_array" test_heap_of_array;
-          quick "peek/pop" test_heap_peek_pop;
-          QCheck_alcotest.to_alcotest test_heap_invariant_random;
-          quick "ties" test_heap_stability_order;
-          QCheck_alcotest.to_alcotest test_heap_differential;
-        ] );
       ( "pool",
         [
           quick "map matches sequential" test_pool_map_matches_sequential;
@@ -751,6 +698,7 @@ let () =
           QCheck_alcotest.to_alcotest test_bank_matches_standalone;
           quick "bank rows independent" test_bank_rows_independent;
           quick "bank bounds" test_bank_bounds;
+          quick "push+drop_top allocate nothing" test_score_heap_allocation_free;
         ] );
       ( "units",
         [ quick "conversions" test_units_conversions; quick "pretty" test_units_pp ] );
