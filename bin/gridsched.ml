@@ -726,6 +726,33 @@ let check_cmd =
 
 (* --- serve: broadcast-as-a-service over a seeded open-loop workload --- *)
 
+(* Numeric flags restricted to the values the service can run on, so that
+   a bad value is a usage error naming the flag, never an exception or a
+   hang.  Infinity is accepted only where it means "no limit". *)
+let float_where what ok =
+  let parse s =
+    match float_of_string_opt s with
+    | Some x when ok x -> Ok x
+    | _ -> Error (`Msg (Printf.sprintf "expected %s, got %S" what s))
+  in
+  Arg.conv (parse, Format.pp_print_float)
+
+let int_where what ok =
+  let parse s =
+    match int_of_string_opt s with
+    | Some x when ok x -> Ok x
+    | _ -> Error (`Msg (Printf.sprintf "expected %s, got %S" what s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
+let positive_finite = float_where "a positive finite number" (fun x -> x > 0. && x < infinity)
+let positive = float_where "a positive number" (fun x -> x > 0.)
+let non_negative_finite =
+  float_where "a non-negative finite number" (fun x -> x >= 0. && x < infinity)
+let non_negative = float_where "a non-negative number" (fun x -> x >= 0.)
+let positive_int = int_where "a positive integer" (fun n -> n > 0)
+let non_negative_int = int_where "a non-negative integer" (fun n -> n >= 0)
+
 let serve_cmd =
   let run topology rate duration seed jobs transport max_concurrent max_backlog smoke
       profile trace mix faults dynamics retry_budget retry_backoff shed_watermark
@@ -736,23 +763,28 @@ let serve_cmd =
         1
     | Ok grid -> (
         let machines = Topology.Machines.expand grid in
-        let mix =
-          match mix with
-          | None -> Ok None
-          | Some s -> (
-              match Gridb_service.Workload.mix_of_string machines s with
-              | Ok m -> Ok (Some m)
-              | Error e -> Error e)
+        let requests =
+          let mix =
+            match mix with
+            | None -> Ok None
+            | Some s ->
+                Result.map Option.some (Gridb_service.Workload.mix_of_string machines s)
+          in
+          (* The flags are checked, but a tiny rate can still underflow once
+             converted to requests per us. *)
+          Result.bind mix (fun mix ->
+              match
+                Gridb_service.Workload.generate ?mix ~seed ~rate:(rate /. 1e6) ~duration
+                  machines
+              with
+              | requests -> Ok requests
+              | exception Invalid_argument e -> Error e)
         in
-        match mix with
+        match requests with
         | Error e ->
             prerr_endline e;
             1
-        | Ok mix ->
-        let requests =
-          Gridb_service.Workload.generate ?mix ~seed ~rate:(rate /. 1e6)
-            ~duration machines
-        in
+        | Ok requests ->
         let shed =
           match (shed_watermark, shed_open_frac) with
           | None, None -> Gridb_service.Admission.no_shed
@@ -798,28 +830,28 @@ let serve_cmd =
   let rate =
     Arg.(
       value
-      & opt float 50.
+      & opt positive_finite 50.
       & info [ "rate" ] ~docv:"REQ_S"
           ~doc:"Open-loop request arrival rate, requests per simulated second.")
   in
   let duration =
     Arg.(
       value
-      & opt float 2e6
+      & opt positive_finite 2e6
       & info [ "duration" ] ~docv:"US"
           ~doc:"Length of the arrival window, simulated microseconds.")
   in
   let max_concurrent =
     Arg.(
       value
-      & opt int 8
+      & opt positive_int 8
       & info [ "max-concurrent" ] ~docv:"N"
           ~doc:"Admission cap on predicted-concurrent sessions.")
   in
   let max_backlog =
     Arg.(
       value
-      & opt (some float) None
+      & opt (some positive) None
       & info [ "max-backlog" ] ~docv:"US"
           ~doc:"Admission cap on predicted backlog (default: unbounded).")
   in
@@ -878,7 +910,7 @@ let serve_cmd =
   let retry_budget =
     Arg.(
       value
-      & opt int 0
+      & opt non_negative_int 0
       & info [ "retry-budget" ] ~docv:"N"
           ~doc:
             "Requeue a partially-delivered request up to $(docv) times (0 disables \
@@ -887,14 +919,14 @@ let serve_cmd =
   let retry_backoff =
     Arg.(
       value
-      & opt float 1e4
+      & opt non_negative_finite 1e4
       & info [ "retry-backoff" ] ~docv:"US"
           ~doc:"Base requeue backoff; the k-th retry waits $(docv)*2^(k-1) us.")
   in
   let shed_watermark =
     Arg.(
       value
-      & opt (some float) None
+      & opt (some positive) None
       & info [ "shed-watermark" ] ~docv:"US"
           ~doc:
             "Shed low-priority requests when the predicted backlog exceeds $(docv) \
@@ -903,7 +935,7 @@ let serve_cmd =
   let shed_open_frac =
     Arg.(
       value
-      & opt (some float) None
+      & opt (some non_negative) None
       & info [ "shed-open-frac" ] ~docv:"FRAC"
           ~doc:
             "Shed low-priority requests when the open-circuit fraction of finished \

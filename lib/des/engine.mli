@@ -7,12 +7,13 @@
     failure-injection tests all run on this engine.
 
     Timers: {!schedule_timer} enqueues a {e cancellable} event and returns a
-    handle; {!cancel} marks it dead.  Cancelled events are never executed —
-    they are silently dropped when they reach the head of the queue — and do
-    not advance the clock, count towards {!processed}, or hold back a
-    {!run_until} horizon.  This is what arms the ACK-guarded retransmission
-    timers of the reliable executor: the common (ACK received) path cancels
-    the timer instead of letting a stale timeout fire.
+    handle; {!cancel} removes its event from the queue there and then, so a
+    cancelled event is never executed, releases its callback at once, and
+    does not advance the clock, count towards {!processed} or {!pending},
+    or hold back a {!run_until} horizon.  This is what arms the ACK-guarded
+    retransmission timers of the reliable executor: the common (ACK
+    received) path cancels the timer instead of letting a stale timeout
+    fire, and the queue holds only events that will still run.
 
     Observability: pass a {!Gridb_obs.Sink.t} at creation to receive
     [Timer_set]/[Timer_fire]/[Timer_cancel] events.  With the default
@@ -43,25 +44,26 @@ val schedule_timer : t -> time:float -> (t -> unit) -> timer
     @raise Invalid_argument if [time] is NaN or in the past. *)
 
 val cancel : t -> timer -> unit
-(** Mark the timer's event dead; it will never execute.  Cancelling an
-    already-cancelled or already-fired timer is a no-op. *)
+(** Remove the timer's event from the queue (O(log pending)); it will never
+    execute.  Cancelling an already-cancelled or already-fired timer is a
+    no-op. *)
 
 val timer_live : timer -> bool
 (** False once cancelled or fired. *)
 
 val step : t -> bool
-(** Execute the next live event; [false] when the queue is empty (cancelled
-    events are discarded, not executed). *)
+(** Execute the next event; [false] when the queue is empty. *)
 
 val run : t -> unit
 (** Drain the queue.  Terminates iff the simulated system quiesces. *)
 
 val run_until : t -> float -> unit
-(** Process live events with time <= the horizon; later events stay queued
-    and [now] is advanced to the horizon. *)
+(** Process events with time <= the horizon; later events stay queued and
+    [now] is advanced to the horizon. *)
 
 val pending : t -> int
-(** Live events still queued (cancelled events are not counted). *)
+(** Events still queued, O(1).  Cancelled events left the queue when they
+    were cancelled, so they are never counted. *)
 
 val processed : t -> int
 (** Events executed so far. *)

@@ -74,8 +74,12 @@ let validate_mix machines m =
     invalid_arg "Workload.generate: high_frac outside [0, 1]"
 
 let generate ?mix ~seed ~rate ~duration machines =
-  if rate <= 0. then invalid_arg "Workload.generate: rate must be positive";
-  if duration <= 0. then invalid_arg "Workload.generate: duration must be positive";
+  (* A NaN bound never ends the arrival loop, an infinite rate never
+     advances it and an infinite window never closes it. *)
+  if not (rate > 0.) then invalid_arg "Workload.generate: rate must be positive";
+  if rate = infinity then invalid_arg "Workload.generate: rate must be finite";
+  if not (duration > 0.) then invalid_arg "Workload.generate: duration must be positive";
+  if duration = infinity then invalid_arg "Workload.generate: duration must be finite";
   let m = match mix with Some m -> m | None -> default_mix machines in
   validate_mix machines m;
   let rng = Rng.create seed in

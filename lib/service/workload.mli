@@ -54,7 +54,8 @@ val generate :
     over [(0, duration]], each drawing root/size/policy — and, when the
     mix carries more than one candidate, deadline and priority — uniformly
     from [mix] (default {!default_mix}); chronological, rids dense from 0.
-    @raise Invalid_argument on non-positive [rate]/[duration], an empty or
+    @raise Invalid_argument on a non-positive, NaN or infinite
+    [rate]/[duration], an empty or
     out-of-range mix, an unknown policy name, a non-positive deadline or a
     [high_frac] outside [0, 1]. *)
 

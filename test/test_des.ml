@@ -106,8 +106,19 @@ let test_engine_rejects_nan_schedule_timer () =
 (* A self-rescheduling chain behind [pending - 1] far-future fillers: each
    chain event sifts from a fresh leaf up to the root and, once fired, the
    last filler sinks from the root back down, log2(pending) levels each
-   way.  The words allocated per event must not depend on that depth. *)
-let chain_words_per_event ~pending =
+   way.  The words allocated per event must not depend on that depth.
+   With [~with_timer] every event also arms a far-future timer and cancels
+   it, as a sender's ACK cancels its retransmission timer: a queue that
+   kept cancelled entries until their time would grow by one entry per
+   event, and its growth would cost fewer words per event the larger it
+   already was.  Large arrays are allocated straight in the major heap, so
+   the count includes those words (major minus promoted) besides the minor
+   ones. *)
+let allocated_words () =
+  let _, promoted, major = Gc.counters () in
+  Gc.minor_words () +. major -. promoted
+
+let chain_words_per_event ~with_timer ~pending =
   let e = Engine.create () in
   for _ = 2 to pending do
     Engine.schedule e ~time:1e18 (fun _ -> ())
@@ -115,22 +126,32 @@ let chain_words_per_event ~pending =
   let events = 10_000 and fired = ref 0 in
   let rec tick e =
     incr fired;
+    if with_timer then Engine.cancel e (Engine.schedule_timer e ~time:1e16 (fun _ -> ()));
     if !fired < events then Engine.schedule_after e ~delay:1. tick
   in
   Engine.schedule e ~time:0. tick;
-  let before = Gc.minor_words () in
+  let before = allocated_words () in
   Engine.run_until e 1e17;
-  let words = Gc.minor_words () -. before in
+  let words = allocated_words () -. before in
   Alcotest.(check int) "chain fired" events !fired;
+  Alcotest.(check int) "only the fillers left" (pending - 1) (Engine.pending e);
   words /. float_of_int events
 
-let test_engine_allocation_independent_of_depth () =
-  let shallow = chain_words_per_event ~pending:2 in
-  let deep = chain_words_per_event ~pending:4096 in
+let check_words_flat_in_depth ~with_timer () =
+  let shallow = chain_words_per_event ~with_timer ~pending:2 in
+  let deep = chain_words_per_event ~with_timer ~pending:4096 in
   Alcotest.(check bool)
     (Printf.sprintf "words/event %.2f at 2 pending vs %.2f at 4096" shallow deep)
     true
     (Float.abs (deep -. shallow) <= 1.)
+
+let reachable_after_full_major captured =
+  Gc.full_major ();
+  let reachable = ref 0 in
+  for i = 0 to Weak.length captured - 1 do
+    if Weak.check captured i then incr reachable
+  done;
+  !reachable
 
 (* A far-future event keeps the queue non-empty for the whole run, so a
    queue that only recycled its storage when it emptied would keep every
@@ -155,14 +176,48 @@ let test_engine_releases_fired_events () =
   arm 0 e;
   Engine.run_until e 1e17;
   Alcotest.(check int) "all fired" n (Engine.processed e);
-  Gc.full_major ();
-  let reachable = ref 0 in
-  for i = 0 to n - 1 do
-    if Weak.check captured i then incr reachable
-  done;
-  Alcotest.(check int) "captured values collected" 0 !reachable;
+  Alcotest.(check int) "captured values collected" 0 (reachable_after_full_major captured);
   (* Used after the collection, so the engine itself stayed reachable. *)
   Alcotest.(check int) "far-future event still queued" 1 (Engine.pending e)
+
+(* Cancellation removes a timer's event from the queue at once: nothing it
+   captured stays reachable, although no [step] ever reaches the entries'
+   times, and [pending] drops to zero without draining anything. *)
+let arm_and_cancel_all e n =
+  let captured = Weak.create n in
+  let timers =
+    Array.init n (fun i ->
+        let payload = Bytes.make 8 'x' in
+        Weak.set captured i (Some payload);
+        Engine.schedule_timer e ~time:(float_of_int (i + 1)) (fun _ ->
+            ignore (Sys.opaque_identity payload)))
+  in
+  Array.iter (Engine.cancel e) timers;
+  captured
+
+let test_engine_releases_cancelled_timers () =
+  let n = 100_000 in
+  let e = Engine.create () in
+  let captured = arm_and_cancel_all e n in
+  Alcotest.(check int) "cancelled closures collected" 0 (reachable_after_full_major captured);
+  Alcotest.(check int) "pending is 0 after mass cancellation" 0 (Engine.pending e);
+  Alcotest.(check int) "nothing fired" 0 (Engine.processed e)
+
+(* A live event due before every timer keeps the head of the queue
+   occupied, so cancelled entries cannot be discarded on their way to it:
+   only removal at cancel time leaves them uncounted and unreachable. *)
+let test_engine_pending_after_mass_cancel () =
+  let n = 100_000 in
+  let e = Engine.create () in
+  Engine.schedule e ~time:0. (fun _ -> ());
+  let captured = arm_and_cancel_all e n in
+  Alcotest.(check int) "only the live event pending" 1 (Engine.pending e);
+  Alcotest.(check int) "cancelled closures collected behind a live head" 0
+    (reachable_after_full_major captured);
+  Engine.run e;
+  Alcotest.(check int) "pending is 0 once it fired" 0 (Engine.pending e);
+  Alcotest.(check int) "only the live event fired" 1 (Engine.processed e);
+  check_feq "clock never reached a cancelled time" 0. (Engine.now e)
 
 (* --- Event heap ---------------------------------------------------------- *)
 
@@ -243,19 +298,27 @@ let test_heap_stability_order () =
    model: random schedule / schedule_timer / cancel / step / run_until
    sequences over offsets in [0, 4] (so equal times abound) must agree on
    the firing order, [now], [processed], [pending] and every timer's
-   liveness after every operation. *)
-type model_event = { m_time : float; m_seq : int; m_live : bool ref }
+   liveness after every operation.  Cancels pick any handle ever armed, so
+   they hit fired and already-cancelled timers too, and some pick the same
+   handle twice in a row; some timers cancel another timer when they
+   fire, so entries also leave the queue mid-run. *)
+type model_event = {
+  m_time : float;
+  m_seq : int;
+  m_live : bool ref;
+  m_effect : unit -> unit;
+}
 
 let test_heap_differential =
   QCheck.Test.make ~name:"binary heap vs stable reference model" ~count:(Testutil.count 300)
-    QCheck.(list_of_size (Gen.int_bound 150) (pair (int_bound 5) (int_bound 4)))
+    QCheck.(list_of_size (Gen.int_bound 150) (pair (int_bound 7) (int_bound 4)))
     (fun ops ->
       let e = Engine.create () in
       let fired = ref [] and model_fired = ref [] in
       let queue = ref [] and clock = ref 0. and processed = ref 0 and seq = ref 0 in
       let timers = ref [] in
-      let add time =
-        let ev = { m_time = time; m_seq = !seq; m_live = ref true } in
+      let add ?(effect = ignore) time =
+        let ev = { m_time = time; m_seq = !seq; m_live = ref true; m_effect = effect } in
         incr seq;
         queue := ev :: !queue;
         ev
@@ -270,6 +333,7 @@ let test_heap_differential =
             clock := ev.m_time;
             incr processed;
             model_fired := ev.m_seq :: !model_fired;
+            ev.m_effect ();
             Some ev.m_time
       in
       let rec model_run_until h =
@@ -285,6 +349,11 @@ let test_heap_differential =
         else if !clock < h then clock := h
       in
       let logged id _ = fired := id :: !fired in
+      let pick k = List.nth !timers (k mod List.length !timers) in
+      let cancel (handle, live) =
+        Engine.cancel e handle;
+        live := false
+      in
       List.for_all
         (fun (kind, k) ->
           let time = !clock +. float_of_int k in
@@ -298,15 +367,29 @@ let test_heap_differential =
                 let ev = add time in
                 timers := (Engine.schedule_timer e ~time (logged ev.m_seq), ev.m_live) :: !timers;
                 true
-            | 3 ->
-                (match !timers with
-                | [] -> ()
-                | l ->
-                    let handle, live = List.nth l (k mod List.length l) in
-                    Engine.cancel e handle;
-                    live := false);
+            | 3 | 4 ->
+                if !timers <> [] then begin
+                  let target = pick k in
+                  cancel target;
+                  if kind = 4 then cancel target
+                end;
                 true
-            | 4 ->
+            | 5 ->
+                if !timers = [] then true
+                else begin
+                  (* On firing, this timer cancels [target] in the engine
+                     and in the model alike. *)
+                  let handle, live = pick k in
+                  let ev = add ~effect:(fun () -> live := false) time in
+                  let tm =
+                    Engine.schedule_timer e ~time (fun e ->
+                        logged ev.m_seq e;
+                        Engine.cancel e handle)
+                  in
+                  timers := (tm, ev.m_live) :: !timers;
+                  true
+                end
+            | 6 ->
                 let stepped = Engine.step e in
                 stepped = Option.is_some (model_step ())
             | _ ->
@@ -607,8 +690,12 @@ let () =
           quick "schedule_after rejects NaN" test_engine_rejects_nan_schedule_after;
           quick "schedule_timer rejects NaN" test_engine_rejects_nan_schedule_timer;
           quick "words per event flat in depth"
-            test_engine_allocation_independent_of_depth;
+            (check_words_flat_in_depth ~with_timer:false);
           quick "fired events are released" test_engine_releases_fired_events;
+          quick "cancelled timers are released" test_engine_releases_cancelled_timers;
+          quick "pending after mass cancellation" test_engine_pending_after_mass_cancel;
+          quick "timer chain words per event flat in depth"
+            (check_words_flat_in_depth ~with_timer:true);
         ] );
       ( "heap",
         [

@@ -268,6 +268,20 @@ let test_workload_validation () =
        false
      with Invalid_argument _ -> true)
 
+(* NaN or infinite bounds would make the arrival loop run forever. *)
+let test_workload_rejects_non_finite () =
+  let machines = machines_of_seed 22 in
+  let rejects name msg ~rate ~duration =
+    Alcotest.check_raises name (Invalid_argument ("Workload.generate: " ^ msg)) (fun () ->
+        ignore (Workload.generate ~seed:0 ~rate ~duration machines))
+  in
+  rejects "NaN rate" "rate must be positive" ~rate:Float.nan ~duration:1e6;
+  rejects "infinite rate" "rate must be finite" ~rate:infinity ~duration:1e6;
+  rejects "negative rate" "rate must be positive" ~rate:(-1e-5) ~duration:1e6;
+  rejects "NaN duration" "duration must be positive" ~rate:1e-5 ~duration:Float.nan;
+  rejects "infinite duration" "duration must be finite" ~rate:1e-5 ~duration:infinity;
+  rejects "negative duration" "duration must be positive" ~rate:1e-5 ~duration:(-1.)
+
 let test_mix_round_trip () =
   let machines = machines_of_seed 22 in
   let round m =
@@ -798,6 +812,7 @@ let () =
           quick "deterministic in the seed" test_workload_deterministic;
           quick "dense rids, chronological arrivals" test_workload_shape;
           quick "validation" test_workload_validation;
+          quick "rejects non-finite rate and duration" test_workload_rejects_non_finite;
           quick "mix round-trips through its grammar" test_mix_round_trip;
           quick "mix parse errors name the key" test_mix_errors_name_keys;
         ] );
