@@ -6,6 +6,15 @@
     reliable {!Exec.run_reliable}), the MPI layer and the {!Faults}-driven
     failure-injection tests all run on this engine.
 
+    The queue is a two-tier monotone radix queue: events due at the
+    current instant (to within one ulp) sit in a small binary heap on
+    (time, insertion order), and every later event waits in one of 62
+    buckets indexed by the highest bit in which its time's IEEE-754 bits
+    differ from the heap's, where a push costs O(1).  When the heap
+    empties it is refilled from the lowest non-empty bucket.  The firing
+    order is exactly (time, insertion order) whatever the tiers do, so
+    a run fires the same events in the same order as with one heap.
+
     Timers: {!schedule_timer} enqueues a {e cancellable} event and returns a
     handle; {!cancel} removes its event from the queue there and then, so a
     cancelled event is never executed, releases its callback at once, and
@@ -44,9 +53,10 @@ val schedule_timer : t -> time:float -> (t -> unit) -> timer
     @raise Invalid_argument if [time] is NaN or in the past. *)
 
 val cancel : t -> timer -> unit
-(** Remove the timer's event from the queue (O(log pending)); it will never
-    execute.  Cancelling an already-cancelled or already-fired timer is a
-    no-op. *)
+(** Remove the timer's event from the queue; it will never execute.  O(1)
+    for an event past the current instant (a retransmission timeout, say),
+    O(log) of the current instant's events otherwise.  Cancelling an
+    already-cancelled or already-fired timer is a no-op. *)
 
 val timer_live : timer -> bool
 (** False once cancelled or fired. *)
@@ -58,12 +68,13 @@ val run : t -> unit
 (** Drain the queue.  Terminates iff the simulated system quiesces. *)
 
 val run_until : t -> float -> unit
-(** Process events with time <= the horizon; later events stay queued and
+(** Process events with time <= the horizon; later events stay queued (in
+    their buckets, unless they share the last fired event's instant) and
     [now] is advanced to the horizon. *)
 
 val pending : t -> int
-(** Events still queued, O(1).  Cancelled events left the queue when they
-    were cancelled, so they are never counted. *)
+(** Events still queued in either tier, O(1).  Cancelled events left the
+    queue when they were cancelled, so they are never counted. *)
 
 val processed : t -> int
 (** Events executed so far. *)

@@ -35,80 +35,144 @@ let upd assoc k f =
   in
   go assoc
 
+(* Floats updated per event live in all-float records ([totals], [times],
+   [start]), whose fields are stored unboxed: an update allocates
+   nothing. *)
+type totals = {
+  mutable transmit : float;
+  mutable intra : float;
+  mutable retransmit : float;
+  mutable makespan : float;
+}
+
+type times = { mutable busy : float; mutable last_arrival : float }
+
+(* A session row while the stream is folded. *)
+type row = { rsid : int; mutable rsends : int; rtimes : times }
+
+type start = { mutable at : float }
+
+(* The open [Send_start] of one directed link.  A link keeps its cell
+   once seen and reuses it for every later send, so a send allocates
+   nothing.  Cells are found by an int hash of (src, dst) and chained on
+   collision through [next]. *)
+type cell = {
+  src : int;
+  dst : int;
+  start : start;
+  mutable open_ : bool;
+  mutable is_intra : bool;
+  mutable retry : bool;
+  next : cell option;
+}
+
+module Itbl = Hashtbl.Make (Int)
+
+let link_hash src dst = (src * 65_599) + dst
+
+let rec find_cell c src dst =
+  if c.src = src && c.dst = dst then c
+  else match c.next with Some c -> find_cell c src dst | None -> raise Not_found
+
 let of_events events =
-  let transmit = ref 0. and intra = ref 0. and retransmit = ref 0. in
-  let makespan = ref 0. in
+  let tot = { transmit = 0.; intra = 0.; retransmit = 0.; makespan = 0. } in
   let sends = ref 0 and retransmits = ref 0 and give_ups = ref 0 in
   let circuit_opens = ref 0 and reroutes = ref 0 in
   let sheds = ref 0 and requeues = ref 0 and deadline_misses = ref 0 in
-  let pending_send : (int * int, Event.t) Hashtbl.t = Hashtbl.create 64 in
+  let cells : cell Itbl.t = Itbl.create 64 in
   let open_spans : (string, float list) Hashtbl.t = Hashtbl.create 8 in
   let spans = ref [] and counters = ref [] in
   let total = ref 0 in
-  (* Per-correlation-id attribution, first-seen sid order. *)
-  let session_tbl : (int, session_row ref) Hashtbl.t = Hashtbl.create 8 in
-  let session_order = ref [] in
-  let session sid =
-    match Hashtbl.find_opt session_tbl sid with
-    | Some r -> r
-    | None ->
-        let r = ref { sid; s_sends = 0; s_busy_us = 0.; s_makespan_us = 0. } in
-        Hashtbl.add session_tbl sid r;
-        session_order := sid :: !session_order;
+  (* Per-correlation-id attribution; [rows] is in reverse first-seen
+     order. *)
+  let rows_by_sid : row Itbl.t = Itbl.create 8 in
+  let rows = ref [] in
+  let row sid =
+    match Itbl.find rows_by_sid sid with
+    | r -> r
+    | exception Not_found ->
+        let r = { rsid = sid; rsends = 0; rtimes = { busy = 0.; last_arrival = 0. } } in
+        Itbl.add rows_by_sid sid r;
+        rows := r :: !rows;
         r
   in
-  List.iter
-    (fun (e : Event.t) ->
-      incr total;
-      let sid = Event.sid e in
-      let tally f = match sid with None -> () | Some s -> let r = session s in r := f !r in
-      match Event.untag e with
-      | Send_start { src; dst; try_no; _ } as e ->
-          incr sends;
-          if try_no > 0 then incr retransmits;
-          tally (fun r -> { r with s_sends = r.s_sends + 1 });
-          Hashtbl.replace pending_send (src, dst) e
-      | Send_end { src; dst; time; arrival } -> (
-          makespan := Float.max !makespan arrival;
-          match Hashtbl.find_opt pending_send (src, dst) with
-          | Some (Send_start { time = start; intra = is_intra; try_no; _ }) ->
-              Hashtbl.remove pending_send (src, dst);
-              let gap = time -. start in
-              tally (fun r -> { r with s_busy_us = r.s_busy_us +. gap });
-              if try_no > 0 then retransmit := !retransmit +. gap
-              else if is_intra then intra := !intra +. gap
-              else transmit := !transmit +. gap
-          | _ -> ())
-      | Arrival { time; _ } ->
-          makespan := Float.max !makespan time;
-          tally (fun r -> { r with s_makespan_us = Float.max r.s_makespan_us time })
-      | Give_up _ -> incr give_ups
-      | Circuit_open _ -> incr circuit_opens
-      | Reroute _ -> incr reroutes
-      | Shed _ -> incr sheds
-      | Retry _ -> incr requeues
-      | Deadline_miss _ -> incr deadline_misses
-      | Span_start { name; time } ->
-          let stack = Option.value ~default:[] (Hashtbl.find_opt open_spans name) in
-          Hashtbl.replace open_spans name (time :: stack)
-      | Span_end { name; time } -> (
-          match Hashtbl.find_opt open_spans name with
-          | Some (start :: rest) ->
-              Hashtbl.replace open_spans name rest;
-              spans :=
-                upd !spans name (function
-                  | None -> time -. start
-                  | Some acc -> acc +. (time -. start))
-          | _ -> ())
-      | Counter { name; value } -> counters := upd !counters name (fun _ -> value)
-      | _ -> ())
-    events;
+  (* The outermost tag's sid attributes an event; untagged events update
+     a row that is never reported. *)
+  let untagged = { rsid = 0; rsends = 0; rtimes = { busy = 0.; last_arrival = 0. } } in
+  let row_of : Event.t -> row = function Tagged { sid; _ } -> row sid | _ -> untagged in
+  let cell src dst =
+    let h = link_hash src dst in
+    let add next =
+      let c =
+        { src; dst; start = { at = 0. }; open_ = false; is_intra = false; retry = false; next }
+      in
+      Itbl.replace cells h c;
+      c
+    in
+    match Itbl.find cells h with
+    | head -> ( try find_cell head src dst with Not_found -> add (Some head))
+    | exception Not_found -> add None
+  in
+  let rec fold = function
+    | [] -> ()
+    | e :: rest ->
+        incr total;
+        (match Event.untag e with
+        | Send_start { src; dst; time; intra; try_no; _ } ->
+            incr sends;
+            if try_no > 0 then incr retransmits;
+            let r = row_of e in
+            r.rsends <- r.rsends + 1;
+            let c = cell src dst in
+            c.open_ <- true;
+            c.start.at <- time;
+            c.is_intra <- intra;
+            c.retry <- try_no > 0
+        | Send_end { src; dst; time; arrival } ->
+            tot.makespan <- Float.max tot.makespan arrival;
+            let c = cell src dst in
+            if c.open_ then begin
+              c.open_ <- false;
+              let gap = time -. c.start.at in
+              let r = (row_of e).rtimes in
+              r.busy <- r.busy +. gap;
+              if c.retry then tot.retransmit <- tot.retransmit +. gap
+              else if c.is_intra then tot.intra <- tot.intra +. gap
+              else tot.transmit <- tot.transmit +. gap
+            end
+        | Arrival { time; _ } ->
+            tot.makespan <- Float.max tot.makespan time;
+            let r = (row_of e).rtimes in
+            r.last_arrival <- Float.max r.last_arrival time
+        | Give_up _ -> incr give_ups
+        | Circuit_open _ -> incr circuit_opens
+        | Reroute _ -> incr reroutes
+        | Shed _ -> incr sheds
+        | Retry _ -> incr requeues
+        | Deadline_miss _ -> incr deadline_misses
+        | Span_start { name; time } ->
+            let stack = Option.value ~default:[] (Hashtbl.find_opt open_spans name) in
+            Hashtbl.replace open_spans name (time :: stack)
+        | Span_end { name; time } -> (
+            match Hashtbl.find_opt open_spans name with
+            | Some (start :: rest) ->
+                Hashtbl.replace open_spans name rest;
+                spans :=
+                  upd !spans name (function
+                    | None -> time -. start
+                    | Some acc -> acc +. (time -. start))
+            | _ -> ())
+        | Counter { name; value } -> counters := upd !counters name (fun _ -> value)
+        | _ -> ());
+        fold rest
+  in
+  fold events;
   {
     schedule_us = (match List.assoc_opt "schedule" !spans with Some v -> v | None -> 0.);
-    transmit_us = !transmit;
-    intra_us = !intra;
-    retransmit_us = !retransmit;
-    makespan_us = !makespan;
+    transmit_us = tot.transmit;
+    intra_us = tot.intra;
+    retransmit_us = tot.retransmit;
+    makespan_us = tot.makespan;
     sends = !sends;
     retransmits = !retransmits;
     give_ups = !give_ups;
@@ -121,7 +185,11 @@ let of_events events =
     spans = !spans;
     counters = !counters;
     sessions =
-      List.rev_map (fun sid -> !(Hashtbl.find session_tbl sid)) !session_order;
+      List.rev_map
+        (fun r ->
+          { sid = r.rsid; s_sends = r.rsends; s_busy_us = r.rtimes.busy;
+            s_makespan_us = r.rtimes.last_arrival })
+        !rows;
   }
 
 let render r =

@@ -1,10 +1,10 @@
 type t =
   | Null
-  | Memory of Event.t list ref
+  | Memory of { mutable events : Event.t list; mutable count : int }
   | Jsonl of { oc : out_channel; mutable count : int }
 
 let null = Null
-let memory () = Memory (ref [])
+let memory () = Memory { events = []; count = 0 }
 let jsonl oc = Jsonl { oc; count = 0 }
 
 let with_jsonl path f =
@@ -16,18 +16,19 @@ let enabled = function Null -> false | Memory _ | Jsonl _ -> true
 let emit t e =
   match t with
   | Null -> ()
-  | Memory events -> events := e :: !events
+  | Memory m ->
+      m.events <- e :: m.events;
+      m.count <- m.count + 1
   | Jsonl j ->
       output_string j.oc (Event.to_json e);
       output_char j.oc '\n';
       j.count <- j.count + 1
 
-let events = function Null | Jsonl _ -> [] | Memory events -> List.rev !events
+let events = function Null | Jsonl _ -> [] | Memory m -> List.rev m.events
 
 let count = function
   | Null -> 0
-  | Memory events -> List.length !events
-  | Jsonl j -> j.count
+  | Memory { count; _ } | Jsonl { count; _ } -> count
 
 let read path =
   let ic = open_in path in

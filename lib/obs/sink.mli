@@ -15,7 +15,9 @@
 
 type t =
   | Null
-  | Memory of Event.t list ref  (** reverse chronological; use {!events} *)
+  | Memory of { mutable events : Event.t list; mutable count : int }
+      (** [events] is reverse chronological (use {!events}); [count] is its
+          length *)
   | Jsonl of { oc : out_channel; mutable count : int }
 
 val null : t
@@ -41,7 +43,7 @@ val events : t -> Event.t list
 (** Chronological event list of a [Memory] sink; [[]] for the others. *)
 
 val count : t -> int
-(** Events delivered so far ([Memory] and [Jsonl]; 0 for [Null]). *)
+(** Events delivered so far ([Memory] and [Jsonl]; 0 for [Null]), O(1). *)
 
 val read : string -> (Event.t list, string) result
 (** Parse a JSONL trace file back into events (blank lines skipped).

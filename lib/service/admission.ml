@@ -33,22 +33,51 @@ type t = {
   max_concurrent : int;
   max_backlog_us : float;
   shed : shed;
-  (* Predicted finish times of admitted, not-yet-finished sessions,
-     ascending.  The population is small (bounded by max_concurrent), so a
-     sorted list beats a heap on constant factors and keeps decisions
-     trivially deterministic. *)
-  mutable inflight : float list;
+  (* Predicted finish times of admitted sessions, ascending (equal ones in
+     admission order), in [finishes.(lo) .. finishes.(hi - 1)].  Finishes
+     at or before a decision's [now] form a prefix, so expiry advances
+     [lo]; the latest finish is the last one.  An insertion shifts the
+     later finishes right, at most [max_concurrent] of them. *)
+  mutable finishes : float array;
+  mutable lo : int;
+  mutable hi : int;
 }
 
 let create ?(max_concurrent = 8) ?(max_backlog_us = infinity) ?(shed = no_shed) () =
   if max_concurrent < 1 then invalid_arg "Admission.create: max_concurrent < 1";
   if max_backlog_us <= 0. then invalid_arg "Admission.create: max_backlog_us <= 0";
-  { max_concurrent; max_backlog_us; shed; inflight = [] }
+  { max_concurrent; max_backlog_us; shed; finishes = Array.make 8 0.; lo = 0; hi = 0 }
 
-let rec insert t = function
-  | [] -> [ t ]
-  | x :: rest when x <= t -> x :: insert t rest
-  | later -> t :: later
+(* Index of the first finish after [now]; [not (f > now)] also covers a
+   NaN finish, which is never booked (see [book]). *)
+let first_after t ~now =
+  let i = ref t.lo in
+  while !i < t.hi && not (t.finishes.(!i) > now) do
+    incr i
+  done;
+  !i
+
+(* Books [finish] after every finish <= it.  A NaN finish is not booked:
+   it could never be in flight, since every count ignores finishes that
+   are not past its [now]. *)
+let book t finish =
+  if not (Float.is_nan finish) then begin
+    if t.hi = Array.length t.finishes then begin
+      let live = t.hi - t.lo in
+      let dst = if 2 * live <= t.hi then t.finishes else Array.make (2 * t.hi) 0. in
+      Array.blit t.finishes t.lo dst 0 live;
+      t.finishes <- dst;
+      t.lo <- 0;
+      t.hi <- live
+    end;
+    let i = ref t.hi in
+    while !i > t.lo && t.finishes.(!i - 1) > finish do
+      t.finishes.(!i) <- t.finishes.(!i - 1);
+      decr i
+    done;
+    t.finishes.(!i) <- finish;
+    t.hi <- t.hi + 1
+  end
 
 (* Admission is judged on the {e predicted} makespan of the (cached) plan,
    not on simulated completions: the decision is available at request
@@ -63,22 +92,20 @@ let rec insert t = function
    two) or when the caller-supplied open-circuit fraction — the
    server's live health signal — exceeds its threshold. *)
 let decide ?(priority = Workload.High) ?(open_frac = 0.) t ~now ~predicted_makespan =
-  t.inflight <- List.filter (fun finish -> finish > now) t.inflight;
-  let inflight = List.length t.inflight in
+  t.lo <- first_after t ~now;
+  let inflight = t.hi - t.lo in
   if inflight >= t.max_concurrent then Reject (Concurrency inflight)
   else
-    let backlog =
-      match t.inflight with [] -> 0. | l -> List.fold_left Float.max 0. l -. now
-    in
+    let backlog = if inflight = 0 then 0. else Float.max 0. t.finishes.(t.hi - 1) -. now in
     if backlog > t.max_backlog_us then Reject (Backlog backlog)
     else if priority = Workload.Low && backlog > t.shed.watermark_us then
       Reject (Shed_backlog backlog)
     else if priority = Workload.Low && open_frac > t.shed.max_open_frac then
       Reject (Shed_circuit open_frac)
     else begin
-      t.inflight <- insert (now +. predicted_makespan) t.inflight;
+      book t (now +. predicted_makespan);
       Admit
     end
 
-let inflight t ~now = List.length (List.filter (fun f -> f > now) t.inflight)
+let inflight t ~now = t.hi - first_after t ~now
 let shedding t = t.shed <> no_shed

@@ -118,7 +118,6 @@ let save path grid =
     (fun () -> output_string oc (to_string grid))
 
 let load path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> of_string (In_channel.input_all ic))
+  match In_channel.with_open_text path In_channel.input_all with
+  | text -> of_string text
+  | exception Sys_error e -> Error e

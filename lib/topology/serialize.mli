@@ -23,3 +23,5 @@ val save : string -> Grid.t -> unit
 (** Write to a file.  @raise Sys_error on IO failure. *)
 
 val load : string -> (Grid.t, string) result
+(** Read and parse a file.  A missing or unreadable file is an [Error]
+    too, never an exception. *)

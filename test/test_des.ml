@@ -137,11 +137,11 @@ let chain_words_per_event ~with_timer ~pending =
   Alcotest.(check int) "only the fillers left" (pending - 1) (Engine.pending e);
   words /. float_of_int events
 
-let check_words_flat_in_depth ~with_timer () =
+let check_words_flat_in_depth ?(depth = 4096) ~with_timer () =
   let shallow = chain_words_per_event ~with_timer ~pending:2 in
-  let deep = chain_words_per_event ~with_timer ~pending:4096 in
+  let deep = chain_words_per_event ~with_timer ~pending:depth in
   Alcotest.(check bool)
-    (Printf.sprintf "words/event %.2f at 2 pending vs %.2f at 4096" shallow deep)
+    (Printf.sprintf "words/event %.2f at 2 pending vs %.2f at %d" shallow deep depth)
     true
     (Float.abs (deep -. shallow) <= 1.)
 
@@ -218,6 +218,87 @@ let test_engine_pending_after_mass_cancel () =
   Alcotest.(check int) "pending is 0 once it fired" 0 (Engine.pending e);
   Alcotest.(check int) "only the live event fired" 1 (Engine.processed e);
   check_feq "clock never reached a cancelled time" 0. (Engine.now e)
+
+(* The serve-overload depth: 30,000 timers pending at times spread over
+   many radix buckets while 30,000 events fire in front of them, then every
+   timer cancelled in a scrambled order.  Nothing fired or cancelled may
+   stay reachable. *)
+let test_engine_release_at_30k_pending () =
+  let n = 30_000 in
+  let e = Engine.create () in
+  let captured = Weak.create (2 * n) in
+  let captures i =
+    let payload = Bytes.make 8 'x' in
+    Weak.set captured i (Some payload);
+    fun _ -> ignore (Sys.opaque_identity payload)
+  in
+  let timers =
+    Array.init n (fun i ->
+        let spread = float_of_int (i * 7919 mod n) in
+        Engine.schedule_timer e ~time:(1e6 +. (spread *. spread)) (captures i))
+  in
+  for i = 0 to n - 1 do
+    Engine.schedule e ~time:(float_of_int (i mod 97)) (captures (n + i))
+  done;
+  Engine.run_until e 1e5;
+  Alcotest.(check int) "the events fired" n (Engine.processed e);
+  Alcotest.(check int) "the timers wait" n (Engine.pending e);
+  for i = 0 to n - 1 do
+    Engine.cancel e timers.(i * 7919 mod n)
+  done;
+  Alcotest.(check int) "pending is 0 once all are cancelled" 0 (Engine.pending e);
+  Alcotest.(check int) "fired and cancelled closures collected" 0
+    (reachable_after_full_major captured);
+  Engine.run e;
+  Alcotest.(check int) "no cancelled timer fired" n (Engine.processed e)
+
+(* [run_until] refills the near heap only for far events due by its
+   horizon.  10. and its [Float.succ] neighbour share a radix key, so a
+   horizon of 10. refills both and leaves the neighbour queued; 999. and
+   later stay far.  Events scheduled afterwards at the horizon, between
+   it and the queued events, or among them, must fire in (time,
+   insertion) order, and so must events scheduled below a far minimum
+   after a horizon that stopped short of it. *)
+let test_engine_schedule_below_refilled_minimum () =
+  let e = Engine.create () and log = ref [] in
+  let at (time, tag) = Engine.schedule e ~time (fun _ -> log := tag :: !log) in
+  let next = Float.succ 10. in
+  List.iter at [ (1., "a"); (10., "b"); (next, "c"); (1000., "d"); (1000., "e"); (4096., "f") ];
+  Engine.run_until e 10.;
+  check_feq "clock at the horizon" 10. (Engine.now e);
+  Alcotest.(check (list string)) "due events fired" [ "a"; "b" ] (List.rev !log);
+  List.iter at [ (next, "g"); (10., "h"); (11., "i"); (1000., "j"); (Float.pred 1000., "k") ];
+  Engine.run_until e 500.;
+  Alcotest.(check int) "the far events wait" 5 (Engine.pending e);
+  List.iter at [ (999., "l"); (500., "m"); (5000., "n") ];
+  Engine.run e;
+  Alcotest.(check (list string)) "time order, insertion order among ties"
+    [ "a"; "b"; "h"; "c"; "g"; "i"; "m"; "l"; "k"; "d"; "e"; "j"; "f"; "n" ]
+    (List.rev !log)
+
+(* Timers far past the clock wait in radix buckets.  Cancelling the first,
+   last or a middle member of a bucket, or its only member, must leave the
+   others to fire in order. *)
+let test_engine_cancel_far_timers () =
+  let e = Engine.create () and log = ref [] in
+  let times =
+    Array.init 300 (fun i -> float_of_int (1 + (i * 7919 mod 1000)) *. (10. ** float_of_int (i mod 7)))
+  in
+  let timers =
+    Array.mapi (fun i time -> Engine.schedule_timer e ~time (fun _ -> log := i :: !log)) times
+  in
+  let cancelled i = i mod 3 = 0 || i = 299 || i = 1 in
+  Array.iteri (fun i tm -> if cancelled i then Engine.cancel e tm) timers;
+  Engine.cancel e timers.(0);
+  let survivors = List.filter (fun i -> not (cancelled i)) (List.init 300 Fun.id) in
+  Alcotest.(check int) "pending counts survivors" (List.length survivors) (Engine.pending e);
+  Engine.run e;
+  let expected =
+    List.stable_sort (fun i j -> Float.compare times.(i) times.(j)) survivors
+  in
+  Alcotest.(check (list int)) "survivors fire in time order" expected (List.rev !log);
+  Alcotest.(check bool) "cancelled timers never fired" true
+    (Array.for_all (fun tm -> not (Engine.timer_live tm)) timers)
 
 (* --- Event heap ---------------------------------------------------------- *)
 
@@ -296,12 +377,29 @@ let test_heap_stability_order () =
 
 (* Differential test of the event queue against a stable sorted-list
    model: random schedule / schedule_timer / cancel / step / run_until
-   sequences over offsets in [0, 4] (so equal times abound) must agree on
-   the firing order, [now], [processed], [pending] and every timer's
-   liveness after every operation.  Cancels pick any handle ever armed, so
+   sequences must agree on the firing order, [now], [processed], [pending]
+   and every timer's liveness after every operation.  Most times are the
+   clock plus 0 to 4 (so equal times abound); the rest ([differential_time])
+   span many magnitudes, land on the clock's [Float.succ] neighbours (which
+   may share its radix key), on -0. while the clock is +0., on huge values
+   and on infinity.  Cancels pick any handle ever armed, so
    they hit fired and already-cancelled timers too, and some pick the same
    handle twice in a row; some timers cancel another timer when they
    fire, so entries also leave the queue mid-run. *)
+let differential_time clock k =
+  match k with
+  | 5 -> Float.succ clock
+  | 6 -> Float.succ (Float.succ clock)
+  | 7 -> if clock = 0. then -0. else clock
+  | 8 -> clock +. 1e-6
+  | 9 -> (clock *. 2.) +. 1e-300
+  | 10 -> clock +. 1e9
+  | 11 -> clock +. 1e15
+  | 12 -> clock +. 1e300
+  | 13 -> Float.max clock Float.max_float
+  | 14 -> infinity
+  | k -> clock +. float_of_int k
+
 type model_event = {
   m_time : float;
   m_seq : int;
@@ -311,7 +409,9 @@ type model_event = {
 
 let test_heap_differential =
   QCheck.Test.make ~name:"binary heap vs stable reference model" ~count:(Testutil.count 300)
-    QCheck.(list_of_size (Gen.int_bound 150) (pair (int_bound 7) (int_bound 4)))
+    QCheck.(
+      list_of_size (Gen.int_bound 150)
+        (pair (int_bound 7) (make Gen.(frequency [ (8, int_bound 4); (3, int_range 5 14) ]))))
     (fun ops ->
       let e = Engine.create () in
       let fired = ref [] and model_fired = ref [] in
@@ -342,7 +442,8 @@ let test_heap_differential =
             (fun acc ev -> if !(ev.m_live) then Float.min acc ev.m_time else acc)
             infinity !queue
         in
-        if next <= h then begin
+        (* [next] is infinite with nothing live, too. *)
+        if next <= h && List.exists (fun ev -> !(ev.m_live)) !queue then begin
           ignore (model_step ());
           model_run_until h
         end
@@ -356,7 +457,7 @@ let test_heap_differential =
       in
       List.for_all
         (fun (kind, k) ->
-          let time = !clock +. float_of_int k in
+          let time = differential_time !clock k in
           let step_agrees =
             match kind with
             | 0 | 1 ->
@@ -696,6 +797,13 @@ let () =
           quick "pending after mass cancellation" test_engine_pending_after_mass_cancel;
           quick "timer chain words per event flat in depth"
             (check_words_flat_in_depth ~with_timer:true);
+          quick "words per event flat at 30k pending"
+            (check_words_flat_in_depth ~depth:30_000 ~with_timer:false);
+          quick "timer chain words per event flat at 30k pending"
+            (check_words_flat_in_depth ~depth:30_000 ~with_timer:true);
+          quick "release at 30k pending" test_engine_release_at_30k_pending;
+          quick "schedule below the refilled minimum" test_engine_schedule_below_refilled_minimum;
+          quick "cancel far timers" test_engine_cancel_far_timers;
         ] );
       ( "heap",
         [

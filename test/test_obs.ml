@@ -507,6 +507,185 @@ let test_profile_sessions_rollup () =
   Alcotest.(check int) "untagged stream has no rows" 0
     (List.length (Profile.of_events untagged).Profile.sessions)
 
+(* The rollup as it was first written, kept as the oracle of
+   [Profile.of_events]: a tuple-keyed table of open sends, an option per
+   [Event.sid], a record copy per session tally and boxed float
+   accumulators. *)
+module Reference_profile = struct
+  open Profile
+
+  let upd assoc k f =
+    let rec go = function
+      | [] -> [ (k, f None) ]
+      | (k', v) :: rest when k' = k -> (k, f (Some v)) :: rest
+      | kv :: rest -> kv :: go rest
+    in
+    go assoc
+
+  let of_events events =
+    let transmit = ref 0. and intra = ref 0. and retransmit = ref 0. in
+    let makespan = ref 0. in
+    let sends = ref 0 and retransmits = ref 0 and give_ups = ref 0 in
+    let circuit_opens = ref 0 and reroutes = ref 0 in
+    let sheds = ref 0 and requeues = ref 0 and deadline_misses = ref 0 in
+    let pending_send : (int * int, Event.t) Hashtbl.t = Hashtbl.create 64 in
+    let open_spans : (string, float list) Hashtbl.t = Hashtbl.create 8 in
+    let spans = ref [] and counters = ref [] in
+    let total = ref 0 in
+    let session_tbl : (int, session_row ref) Hashtbl.t = Hashtbl.create 8 in
+    let session_order = ref [] in
+    let session sid =
+      match Hashtbl.find_opt session_tbl sid with
+      | Some r -> r
+      | None ->
+          let r = ref { sid; s_sends = 0; s_busy_us = 0.; s_makespan_us = 0. } in
+          Hashtbl.add session_tbl sid r;
+          session_order := sid :: !session_order;
+          r
+    in
+    List.iter
+      (fun (e : Event.t) ->
+        incr total;
+        let sid = Event.sid e in
+        let tally f = match sid with None -> () | Some s -> let r = session s in r := f !r in
+        match Event.untag e with
+        | Send_start { src; dst; try_no; _ } as e ->
+            incr sends;
+            if try_no > 0 then incr retransmits;
+            tally (fun r -> { r with s_sends = r.s_sends + 1 });
+            Hashtbl.replace pending_send (src, dst) e
+        | Send_end { src; dst; time; arrival } -> (
+            makespan := Float.max !makespan arrival;
+            match Hashtbl.find_opt pending_send (src, dst) with
+            | Some (Send_start { time = start; intra = is_intra; try_no; _ }) ->
+                Hashtbl.remove pending_send (src, dst);
+                let gap = time -. start in
+                tally (fun r -> { r with s_busy_us = r.s_busy_us +. gap });
+                if try_no > 0 then retransmit := !retransmit +. gap
+                else if is_intra then intra := !intra +. gap
+                else transmit := !transmit +. gap
+            | _ -> ())
+        | Arrival { time; _ } ->
+            makespan := Float.max !makespan time;
+            tally (fun r -> { r with s_makespan_us = Float.max r.s_makespan_us time })
+        | Give_up _ -> incr give_ups
+        | Circuit_open _ -> incr circuit_opens
+        | Reroute _ -> incr reroutes
+        | Shed _ -> incr sheds
+        | Retry _ -> incr requeues
+        | Deadline_miss _ -> incr deadline_misses
+        | Span_start { name; time } ->
+            let stack = Option.value ~default:[] (Hashtbl.find_opt open_spans name) in
+            Hashtbl.replace open_spans name (time :: stack)
+        | Span_end { name; time } -> (
+            match Hashtbl.find_opt open_spans name with
+            | Some (start :: rest) ->
+                Hashtbl.replace open_spans name rest;
+                spans :=
+                  upd !spans name (function
+                    | None -> time -. start
+                    | Some acc -> acc +. (time -. start))
+            | _ -> ())
+        | Counter { name; value } -> counters := upd !counters name (fun _ -> value)
+        | _ -> ())
+      events;
+    {
+      schedule_us = (match List.assoc_opt "schedule" !spans with Some v -> v | None -> 0.);
+      transmit_us = !transmit;
+      intra_us = !intra;
+      retransmit_us = !retransmit;
+      makespan_us = !makespan;
+      sends = !sends;
+      retransmits = !retransmits;
+      give_ups = !give_ups;
+      circuit_opens = !circuit_opens;
+      reroutes = !reroutes;
+      sheds = !sheds;
+      requeues = !requeues;
+      deadline_misses = !deadline_misses;
+      events = !total;
+      spans = !spans;
+      counters = !counters;
+      sessions = List.rev_map (fun sid -> !(Hashtbl.find session_tbl sid)) !session_order;
+    }
+end
+
+(* Random streams over few links (so sends pair, re-pair and go unmatched),
+   rank ids that do not fit 31 bits or are negative, links whose int hash
+   collides ((0, 65599) and (1, 0)), nested tags, spans and counters. *)
+let gen_stream =
+  let open QCheck.Gen in
+  let rank = oneofl [ 0; 1; 2; 65_599; 1 lsl 31; (1 lsl 31) + 1; -1; -(1 lsl 40); max_int; min_int ] in
+  let time = oneofl [ 0.; -0.; 1.; 2.5; 3.; 7.25; 100.; 1e9 ] in
+  let name = oneofl [ "schedule"; "plan"; "replay" ] in
+  let sid = oneofl [ 0; 1; 7; -3; 1 lsl 33 ] in
+  let plain =
+    frequency
+      [
+        ( 4,
+          map3
+            (fun (src, dst) (time, intra) try_no ->
+              Event.Send_start { src; dst; time; msg = 64; intra; try_no })
+            (pair rank rank) (pair time bool) (int_bound 2) );
+        ( 4,
+          map3
+            (fun (src, dst) time arrival -> Event.Send_end { src; dst; time; arrival })
+            (pair rank rank) time time );
+        (2, map2 (fun (src, dst) time -> Event.Arrival { src; dst; time }) (pair rank rank) time);
+        (1, map (fun time -> Event.Ack { src = 0; dst = 1; time }) time);
+        (1, map (fun time -> Event.Give_up { src = 0; dst = 1; time }) time);
+        (1, map (fun time -> Event.Circuit_open { src = 0; dst = 1; time }) time);
+        (1, map (fun time -> Event.Reroute { dst = 1; old_parent = 0; new_parent = 2; time }) time);
+        (1, map (fun time -> Event.Shed { rid = 3; priority = "low"; reason = "r"; time }) time);
+        (1, map (fun time -> Event.Retry { rid = 3; attempt = 1; time }) time);
+        ( 1,
+          map (fun finish -> Event.Deadline_miss { rid = 3; deadline = 1.; finish }) time );
+        (2, map2 (fun name time -> Event.Span_start { name; time }) name time);
+        (2, map2 (fun name time -> Event.Span_end { name; time }) name time);
+        (2, map2 (fun name value -> Event.Counter { name; value }) name small_signed_int);
+        (1, map (fun time -> Event.Timer_fire { id = 1; time }) time);
+      ]
+  in
+  let wrapped =
+    (* Up to two tag layers, built directly so that nesting survives. *)
+    map3
+      (fun e layers sids ->
+        List.fold_left (fun e sid -> Event.Tagged { sid; event = e }) e
+          (List.filteri (fun i _ -> i < layers) sids))
+      plain (int_bound 2) (list_repeat 2 sid)
+  in
+  list_size (int_bound 120) wrapped
+
+let test_profile_matches_reference =
+  QCheck.Test.make ~name:"profile matches the reference fold" ~count:(Testutil.count 500)
+    (QCheck.make gen_stream)
+    (fun events -> compare (Profile.of_events events) (Reference_profile.of_events events) = 0)
+
+(* Once every link and session has been seen, folding more of the same
+   traffic allocates nothing per event: a stream twice as long costs the
+   same words, give or take the list walk's constant. *)
+let test_profile_allocation_flat () =
+  let stream reps =
+    List.concat
+      (List.init reps (fun i ->
+           let sid = i mod 4 and src = i mod 3 and t = float_of_int i in
+           [
+             Event.tag ~sid
+               (Event.Send_start { src; dst = src + 1; time = t; msg = 64; intra = false; try_no = 0 });
+             Event.tag ~sid (Event.Send_end { src; dst = src + 1; time = t +. 1.; arrival = t +. 2. });
+             Event.tag ~sid (Event.Arrival { src; dst = src + 1; time = t +. 2. });
+           ]))
+  in
+  let words events =
+    let before = Gc.minor_words () in
+    ignore (Sys.opaque_identity (Profile.of_events events));
+    Gc.minor_words () -. before
+  in
+  let short = stream 1_000 and long = stream 2_000 in
+  ignore (words short);
+  let per_event = (words long -. words short) /. float_of_int (List.length long - List.length short) in
+  Alcotest.(check bool) (Printf.sprintf "%.3f words per extra event" per_event) true (per_event < 0.01)
+
 let test_gantt_events_renders () =
   let events, _ = profiled_events () in
   let s = Gridb_sched.Gantt.render_events events in
@@ -560,6 +739,8 @@ let () =
           quick "profile rollup" test_profile_rollup;
           quick "tagged events round-trip" test_tagged_json_roundtrip;
           quick "profile per-session rollup" test_profile_sessions_rollup;
+          QCheck_alcotest.to_alcotest test_profile_matches_reference;
+          quick "profile allocation flat in stream length" test_profile_allocation_flat;
           quick "gantt from events" test_gantt_events_renders;
         ] );
     ]

@@ -405,6 +405,88 @@ let test_admission_single_slot_drain_ordering () =
     [ "admit"; "full"; "full"; "admit"; "full"; "admit" ]
     outcomes
 
+(* The controller as it was first written: predicted finishes in an
+   ascending list, filtered on every decision.  [Admission] keeps them in
+   a sorted array and expires a prefix; its decisions, reasons and
+   in-flight counts must be the same for every request sequence. *)
+module List_admission = struct
+  type t = {
+    max_concurrent : int;
+    max_backlog_us : float;
+    shed : Admission.shed;
+    mutable inflight : float list;
+  }
+
+  let create ~max_concurrent ~max_backlog_us ~shed =
+    { max_concurrent; max_backlog_us; shed; inflight = [] }
+
+  let rec insert t = function
+    | [] -> [ t ]
+    | x :: rest when x <= t -> x :: insert t rest
+    | later -> t :: later
+
+  let decide ~priority ~open_frac t ~now ~predicted_makespan =
+    t.inflight <- List.filter (fun finish -> finish > now) t.inflight;
+    let inflight = List.length t.inflight in
+    if inflight >= t.max_concurrent then Admission.Reject (Concurrency inflight)
+    else
+      let backlog =
+        match t.inflight with [] -> 0. | l -> List.fold_left Float.max 0. l -. now
+      in
+      if backlog > t.max_backlog_us then Admission.Reject (Backlog backlog)
+      else if priority = Workload.Low && backlog > t.shed.Admission.watermark_us then
+        Admission.Reject (Shed_backlog backlog)
+      else if priority = Workload.Low && open_frac > t.shed.Admission.max_open_frac then
+        Admission.Reject (Shed_circuit open_frac)
+      else begin
+        t.inflight <- insert (now +. predicted_makespan) t.inflight;
+        Admission.Admit
+      end
+
+  let inflight t ~now = List.length (List.filter (fun f -> f > now) t.inflight)
+end
+
+(* Arrivals advance by whole steps (or not at all, so equal times and
+   finishes landing exactly on an arrival abound); makespans include 0,
+   negative, infinite and NaN predictions.  Caps up to 100 let the
+   booked finishes outgrow their first array. *)
+let test_admission_matches_list_model =
+  let makespans = [| 0.; 1.; 2.; 3.; 5.; 8.; 13.; -1.; infinity; Float.nan |] in
+  QCheck.Test.make ~name:"admission matches the list model" ~count:(Testutil.count 300)
+    QCheck.(
+      pair
+        (triple (make Gen.(oneof [ int_range 1 6; int_range 20 100 ])) (int_bound 3) (int_bound 2))
+        (list_of_size (Gen.int_bound 200)
+           (quad (int_bound 3) (int_bound (Array.length makespans - 1)) bool (int_bound 4))))
+    (fun ((max_concurrent, budget, watermark), ops) ->
+      let max_backlog_us = [| infinity; 4.; 10.; 20. |].(budget) in
+      let shed =
+        match watermark with
+        | 0 -> Admission.no_shed
+        | 1 -> Admission.shed ~watermark_us:3. ()
+        | _ -> Admission.shed ~watermark_us:6. ~max_open_frac:0.5 ()
+      in
+      let a = Admission.create ~max_concurrent ~max_backlog_us ~shed () in
+      let m = List_admission.create ~max_concurrent ~max_backlog_us ~shed in
+      let now = ref 0. in
+      List.for_all
+        (fun (dt, k, low, frac) ->
+          now := !now +. float_of_int dt;
+          let priority = if low then Workload.Low else Workload.High in
+          let open_frac = float_of_int frac /. 4. in
+          let predicted_makespan = makespans.(k) in
+          let got = Admission.decide ~priority ~open_frac a ~now:!now ~predicted_makespan in
+          let want =
+            List_admission.decide ~priority ~open_frac m ~now:!now ~predicted_makespan
+          in
+          compare got want = 0
+          && List.for_all
+               (fun ahead ->
+                 let now = !now +. ahead in
+                 Admission.inflight a ~now = List_admission.inflight m ~now)
+               [ 0.; 1.; 4.; 20.; infinity ])
+        ops)
+
 (* --- server ------------------------------------------------------------ *)
 
 let server_fixture ?(seed = 30) ?(rate = 4e-5) () =
@@ -823,6 +905,7 @@ let () =
           quick "arrival exactly at a predicted finish" test_admission_boundary_exact_finish;
           quick "backlog exactly at the budget" test_admission_boundary_exact_backlog;
           quick "single-slot drain ordering" test_admission_single_slot_drain_ordering;
+          QCheck_alcotest.to_alcotest test_admission_matches_list_model;
         ] );
       ( "server",
         [
