@@ -69,7 +69,8 @@ let section title = Printf.printf "\n##### %s #####\n\n" title
 
 let micro_tests () =
   let open Bechamel in
-  let module Heuristics = Gridb_sched.Heuristics in
+  let module Policy = Gridb_sched.Policy in
+  let module Engine = Gridb_sched.Engine in
   let module Instance = Gridb_sched.Instance in
   let instance_of n seed =
     let rng = Gridb_util.Rng.create seed in
@@ -80,9 +81,9 @@ let micro_tests () =
       (fun h ->
         let inst = instance_of n 97 in
         Test.make
-          ~name:(Printf.sprintf "%s/n=%d" h.Heuristics.name n)
-          (Staged.stage (fun () -> ignore (Heuristics.run h inst))))
-      Heuristics.all
+          ~name:(Printf.sprintf "%s/n=%d" (Policy.name h) n)
+          (Staged.stage (fun () -> ignore (Engine.run h inst))))
+      Policy.all
   in
   let grid = Gridb_topology.Grid5000.grid () in
   let machines = Gridb_topology.Machines.expand grid in
@@ -94,7 +95,7 @@ let micro_tests () =
       Test.make ~name:"substrate/des-broadcast-88-ranks"
         (Staged.stage
            (let inst = Instance.of_grid ~root:0 ~msg:1_000_000 grid in
-            let schedule = Heuristics.run Heuristics.ecef_la inst in
+            let schedule = Engine.run Policy.ecef_la inst in
             let plan = Gridb_des.Plan.of_cluster_schedule machines schedule in
             fun () -> ignore (Gridb_des.Exec.run ~msg:1_000_000 machines plan)));
       Test.make ~name:"substrate/lowekamp-88-machines"

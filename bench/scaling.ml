@@ -14,7 +14,6 @@ module Instance = Gridb_sched.Instance
 module Schedule = Gridb_sched.Schedule
 module Policy = Gridb_sched.Policy
 module Engine = Gridb_sched.Engine
-module Heuristics = Gridb_sched.Heuristics
 module Rng = Gridb_util.Rng
 
 type cell = {
@@ -150,7 +149,7 @@ let () =
   in
   parse (List.tl (Array.to_list Sys.argv));
   let sizes = List.filter (fun n -> n <= !max_n) sizes in
-  let policies = List.filter_map (fun h -> h.Heuristics.policy) Heuristics.all in
+  let policies = Policy.all in
   (* --jobs fans cells out over a Pool — useful for a quick CI sweep where
      throughput matters more than timing fidelity.  The default stays 1:
      concurrent cells contend for cores and caches, so committed timing

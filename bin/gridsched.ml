@@ -5,22 +5,54 @@
 
 open Cmdliner
 
-module Heuristics = Gridb_sched.Heuristics
+module Policy = Gridb_sched.Policy
+module Engine = Gridb_sched.Engine
 module Instance = Gridb_sched.Instance
 module Schedule = Gridb_sched.Schedule
 module Topology = Gridb_topology
 
-let heuristic_conv =
+(* Numeric flags restricted to the values the commands can run on, so that
+   a bad value is a usage error naming the flag, never an exception or a
+   hang.  Infinity is accepted only where it means "no limit".  Ranges that
+   depend on the topology are checked after load ({!in_range}). *)
+let float_where what ok =
   let parse s =
-    match Heuristics.by_name s with
-    | Some h -> Ok h
+    match float_of_string_opt s with
+    | Some x when ok x -> Ok x
+    | _ -> Error (`Msg (Printf.sprintf "expected %s, got %S" what s))
+  in
+  Arg.conv (parse, Format.pp_print_float)
+
+let int_where what ok =
+  let parse s =
+    match int_of_string_opt s with
+    | Some x when ok x -> Ok x
+    | _ -> Error (`Msg (Printf.sprintf "expected %s, got %S" what s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
+let positive_finite = float_where "a positive finite number" (fun x -> x > 0. && x < infinity)
+let positive = float_where "a positive number" (fun x -> x > 0.)
+let non_negative_finite =
+  float_where "a non-negative finite number" (fun x -> x >= 0. && x < infinity)
+let non_negative = float_where "a non-negative number" (fun x -> x >= 0.)
+let positive_int = int_where "a positive integer" (fun n -> n > 0)
+let non_negative_int = int_where "a non-negative integer" (fun n -> n >= 0)
+
+let policy_conv =
+  let parse s =
+    match Policy.by_name s with
+    | Some p -> Ok p
     | None ->
         Error
           (`Msg
             (Printf.sprintf "unknown heuristic %S (known: %s)" s
-               (String.concat ", " Heuristics.names)))
+               (String.concat ", " Policy.names)))
   in
-  Arg.conv (parse, fun ppf h -> Format.pp_print_string ppf h.Heuristics.name)
+  Arg.conv (parse, fun ppf p -> Format.pp_print_string ppf (Policy.name p))
+
+let heuristic_arg =
+  Arg.(value & opt policy_conv Policy.ecef_la & info [ "H"; "heuristic" ] ~docv:"NAME")
 
 let engine_arg =
   let mode = Arg.enum [ ("incremental", `Incremental); ("naive", `Naive) ] in
@@ -34,7 +66,13 @@ let engine_arg =
            schedule; naive is kept as the reference oracle.")
 
 let msg_arg =
-  Arg.(value & opt int 1_000_000 & info [ "m"; "message" ] ~docv:"BYTES" ~doc:"Message size in bytes.")
+  Arg.(
+    value
+    & opt non_negative_int 1_000_000
+    & info [ "m"; "message" ] ~docv:"BYTES" ~doc:"Message size in bytes.")
+
+let root_arg =
+  Arg.(value & opt non_negative_int 0 & info [ "root" ] ~docv:"CLUSTER")
 
 let seed_arg =
   Arg.(value & opt int 2006 & info [ "seed" ] ~docv:"SEED" ~doc:"Random seed.")
@@ -63,17 +101,31 @@ let load_grid = function
       | Ok g -> Ok g
       | Error e -> Error (Printf.sprintf "cannot load %s: %s" path e))
 
+(* Upper bound of a rank or cluster flag, known once the topology is
+   loaded; the flag's converter already rejected negative values. *)
+let in_range flag ~size v =
+  if v < size then Ok ()
+  else
+    Error
+      (Printf.sprintf "--%s %d is out of range: the topology has %d (0..%d)" flag v
+         size (size - 1))
+
+(* [load_grid] plus the check that [--root] names one of its clusters. *)
+let load_rooted topology root =
+  Result.bind (load_grid topology) (fun grid ->
+      Result.map (fun () -> grid) (in_range "root" ~size:(Topology.Grid.size grid) root))
+
 (* --- schedule: run one heuristic on a topology and print the schedule --- *)
 
 let schedule_cmd =
   let run heuristic topology msg root gantt improve mode =
-    match load_grid topology with
+    match load_rooted topology root with
     | Error e ->
         prerr_endline e;
         1
     | Ok grid ->
         let inst = Instance.of_grid ~root ~msg grid in
-        let schedule = Heuristics.run ~mode heuristic inst in
+        let schedule = Engine.run ~mode heuristic inst in
         let schedule =
           if improve then begin
             let refined = Gridb_sched.Refine.improve inst schedule in
@@ -96,23 +148,21 @@ let schedule_cmd =
         if gantt then print_string (Gridb_sched.Gantt.render inst schedule);
         0
   in
-  let heuristic =
-    Arg.(value & opt heuristic_conv Heuristics.ecef_la & info [ "H"; "heuristic" ] ~docv:"NAME")
-  in
-  let root = Arg.(value & opt int 0 & info [ "root" ] ~docv:"CLUSTER") in
   let gantt = Arg.(value & flag & info [ "gantt" ] ~doc:"Render a text Gantt chart.") in
   let improve =
     Arg.(value & flag & info [ "improve" ] ~doc:"Refine the schedule with local search.")
   in
   Cmd.v
     (Cmd.info "schedule" ~doc:"Compute and print one heuristic's broadcast schedule")
-    Term.(const run $ heuristic $ topology_arg $ msg_arg $ root $ gantt $ improve $ engine_arg)
+    Term.(
+      const run $ heuristic_arg $ topology_arg $ msg_arg $ root_arg $ gantt $ improve
+      $ engine_arg)
 
 (* --- compare: all heuristics on one topology --- *)
 
 let compare_cmd =
   let run topology msg root mode =
-    match load_grid topology with
+    match load_rooted topology root with
     | Error e ->
         prerr_endline e;
         1
@@ -123,34 +173,22 @@ let compare_cmd =
             [ "heuristic"; "makespan (s)"; "depth"; "pair evals" ]
         in
         List.iter
-          (fun h ->
-            match h.Heuristics.policy with
-            | Some p ->
-                let s, stats = Gridb_sched.Engine.run_stats ~mode p inst in
-                Gridb_util.Text_table.add_row table
-                  [
-                    h.Heuristics.name;
-                    Printf.sprintf "%.4f" (Schedule.makespan inst s /. 1e6);
-                    string_of_int (Schedule.depth s);
-                    string_of_int stats.Gridb_sched.Engine.pair_evaluations;
-                  ]
-            | None ->
-                let s = Heuristics.run h inst in
-                Gridb_util.Text_table.add_row table
-                  [
-                    h.Heuristics.name;
-                    Printf.sprintf "%.4f" (Schedule.makespan inst s /. 1e6);
-                    string_of_int (Schedule.depth s);
-                    "-";
-                  ])
-          Heuristics.all;
+          (fun p ->
+            let s, stats = Engine.run_stats ~mode p inst in
+            Gridb_util.Text_table.add_row table
+              [
+                Policy.name p;
+                Printf.sprintf "%.4f" (Schedule.makespan inst s /. 1e6);
+                string_of_int (Schedule.depth s);
+                string_of_int stats.Engine.pair_evaluations;
+              ])
+          Policy.all;
         Gridb_util.Text_table.print table;
         0
   in
-  let root = Arg.(value & opt int 0 & info [ "root" ] ~docv:"CLUSTER") in
   Cmd.v
     (Cmd.info "compare" ~doc:"Compare all heuristics' makespans on one topology")
-    Term.(const run $ topology_arg $ msg_arg $ root $ engine_arg)
+    Term.(const run $ topology_arg $ msg_arg $ root_arg $ engine_arg)
 
 (* --- topology: generate and save a random topology --- *)
 
@@ -182,7 +220,7 @@ let topology_cmd =
     0
   in
   let kind = Arg.(value & pos 0 string "random" & info [] ~docv:"KIND") in
-  let n = Arg.(value & opt int 10 & info [ "n"; "clusters" ] ~docv:"CLUSTERS") in
+  let n = Arg.(value & opt positive_int 10 & info [ "n"; "clusters" ] ~docv:"CLUSTERS") in
   let output = Arg.(value & opt (some string) None & info [ "o"; "output" ] ~docv:"FILE") in
   let dot =
     Arg.(value & opt (some string) None & info [ "dot" ] ~docv:"FILE" ~doc:"Also write Graphviz DOT.")
@@ -199,7 +237,7 @@ let hitrate_cmd =
     let model = if overlapped then Schedule.Overlapped else Schedule.After_sends in
     let outcomes =
       Gridb_sched.Hit_rate.run ~model ~rng ~iterations ~n Instance.table2_ranges
-        Heuristics.ecef_family
+        Policy.ecef_family
     in
     let table =
       Gridb_util.Text_table.create
@@ -219,8 +257,8 @@ let hitrate_cmd =
     Gridb_util.Text_table.print table;
     0
   in
-  let n = Arg.(value & opt int 20 & info [ "n"; "clusters" ] ~docv:"CLUSTERS") in
-  let iterations = Arg.(value & opt int 10_000 & info [ "i"; "iterations" ]) in
+  let n = Arg.(value & opt positive_int 20 & info [ "n"; "clusters" ] ~docv:"CLUSTERS") in
+  let iterations = Arg.(value & opt positive_int 10_000 & info [ "i"; "iterations" ]) in
   let overlapped =
     Arg.(value & flag & info [ "overlapped" ] ~doc:"Use the overlapped completion model.")
   in
@@ -259,7 +297,7 @@ let figure_cmd =
     0
   in
   let which = Arg.(value & pos 0 string "1" & info [] ~docv:"FIGURE") in
-  let iterations = Arg.(value & opt int 10_000 & info [ "i"; "iterations" ]) in
+  let iterations = Arg.(value & opt positive_int 10_000 & info [ "i"; "iterations" ]) in
   let csv_dir = Arg.(value & opt (some string) None & info [ "csv" ] ~docv:"DIR") in
   Cmd.v
     (Cmd.info "figure" ~doc:"Regenerate a paper figure (1-6)")
@@ -310,8 +348,8 @@ let cluster_cmd =
       & info [ "matrix" ] ~docv:"CSV"
           ~doc:"NxN machine latency matrix in microseconds (CSV); overrides --topology.")
   in
-  let rho = Arg.(value & opt float 0.30 & info [ "rho" ] ~docv:"TOLERANCE") in
-  let jitter = Arg.(value & opt float 0.03 & info [ "jitter" ] ~docv:"SIGMA") in
+  let rho = Arg.(value & opt non_negative 0.30 & info [ "rho" ] ~docv:"TOLERANCE") in
+  let jitter = Arg.(value & opt non_negative_finite 0.03 & info [ "jitter" ] ~docv:"SIGMA") in
   let save_grid =
     Arg.(
       value
@@ -327,7 +365,7 @@ let cluster_cmd =
 
 let optimal_cmd =
   let run topology msg root =
-    match load_grid topology with
+    match load_rooted topology root with
     | Error e ->
         prerr_endline e;
         1
@@ -360,35 +398,42 @@ let optimal_cmd =
           in
           let opt = cert.Gridb_opt.Exact.makespan in
           List.iter
-            (fun h ->
-              let m = Heuristics.makespan h inst in
+            (fun p ->
+              let m = Engine.makespan p inst in
               Gridb_util.Text_table.add_row table
                 [
-                  h.Heuristics.name;
+                  Policy.name p;
                   Printf.sprintf "%.4f" (m /. 1e6);
                   Printf.sprintf "%+.2f%%" (100. *. ((m /. opt) -. 1.));
                 ])
-            Heuristics.all;
+            Policy.all;
           Gridb_util.Text_table.print table;
           0
         end
   in
-  let root = Arg.(value & opt int 0 & info [ "root" ] ~docv:"CLUSTER") in
   Cmd.v
     (Cmd.info "optimal"
        ~doc:"Certified optimal schedule (branch-and-bound) and per-heuristic gaps")
-    Term.(const run $ topology_arg $ msg_arg $ root)
+    Term.(const run $ topology_arg $ msg_arg $ root_arg)
 
 (* --- measure: pLogP link measurement over the simulated wire --- *)
 
 let measure_cmd =
   let run topology a b jitter seed =
-    match load_grid topology with
+    let machines =
+      Result.bind (load_grid topology) (fun grid ->
+          let machines = Topology.Machines.expand grid in
+          let size = Topology.Machines.count machines in
+          Result.bind (in_range "src" ~size a) (fun () ->
+              Result.bind (in_range "dst" ~size b) (fun () ->
+                  if a = b then Error (Printf.sprintf "--src and --dst are both rank %d" a)
+                  else Ok machines)))
+    in
+    match machines with
     | Error e ->
         prerr_endline e;
         1
-    | Ok grid ->
-        let machines = Topology.Machines.expand grid in
+    | Ok machines ->
         let noise =
           if jitter > 0. then Gridb_des.Noise.Lognormal jitter else Gridb_des.Noise.Exact
         in
@@ -415,9 +460,9 @@ let measure_cmd =
         Gridb_util.Text_table.print table;
         0
   in
-  let a = Arg.(value & opt int 0 & info [ "src" ] ~docv:"RANK") in
-  let b = Arg.(value & opt int 1 & info [ "dst" ] ~docv:"RANK") in
-  let jitter = Arg.(value & opt float 0. & info [ "jitter" ] ~docv:"SIGMA") in
+  let a = Arg.(value & opt non_negative_int 0 & info [ "src" ] ~docv:"RANK") in
+  let b = Arg.(value & opt non_negative_int 1 & info [ "dst" ] ~docv:"RANK") in
+  let jitter = Arg.(value & opt non_negative_finite 0. & info [ "jitter" ] ~docv:"SIGMA") in
   Cmd.v
     (Cmd.info "measure" ~doc:"Measure a link's pLogP parameters on the simulated wire")
     Term.(const run $ topology_arg $ a $ b $ jitter $ seed_arg)
@@ -456,51 +501,41 @@ let trace_arg =
            line; read back with $(b,Gridb_obs.Sink.read)).")
 
 let simulate_cmd =
-  let run heuristic topology msg seed faults dynamics retries transport reps jitter jobs trace =
+  let run policy topology msg seed faults dynamics retries transport reps jitter jobs trace =
     match load_grid topology with
     | Error e ->
         prerr_endline e;
         1
-    | Ok grid -> (
-        match heuristic.Heuristics.policy with
-        | None ->
-            Printf.eprintf "heuristic %s has no policy descriptor; pick one of: %s\n"
-              heuristic.Heuristics.name
-              (String.concat ", " Heuristics.names);
-            1
-        | Some policy ->
-            let noise =
-              if jitter > 0. then Gridb_des.Noise.Lognormal jitter else Gridb_des.Noise.Exact
-            in
-            let repetitions = if reps > 0 then Some reps else None in
-            let robustness obs =
-              Gridb_experiments.Robustness.run ~policy ~msg ~retries ~seed ~noise ?obs
-                ~transport ~dyn:dynamics ?repetitions ~jobs ~spec:faults grid
-            in
-            let metrics, traced =
-              match trace with
-              | Some path ->
-                  Gridb_obs.Sink.with_jsonl path (fun obs ->
-                      let m = robustness (Some obs) in
-                      (m, Some (path, Gridb_obs.Sink.count obs)))
-              | None -> (robustness None, None)
-            in
-            print_string (Gridb_experiments.Robustness.render metrics);
-            (match traced with
-            | Some (path, count) -> Printf.printf "trace: %d events -> %s\n" count path
-            | None -> ());
-            (match metrics.Gridb_experiments.Robustness.partition_drift with
-            | Some d when d > 0. ->
-                Printf.eprintf
-                  "warning: live estimates re-cluster differently from planning time \
-                   (partition drift %.3f); the schedule's cluster map is stale — consider \
-                   replanning.\n"
-                  d
-            | _ -> ());
-            0)
-  in
-  let heuristic =
-    Arg.(value & opt heuristic_conv Heuristics.ecef_la & info [ "H"; "heuristic" ] ~docv:"NAME")
+    | Ok grid ->
+        let noise =
+          if jitter > 0. then Gridb_des.Noise.Lognormal jitter else Gridb_des.Noise.Exact
+        in
+        let repetitions = if reps > 0 then Some reps else None in
+        let robustness obs =
+          Gridb_experiments.Robustness.run ~policy ~msg ~retries ~seed ~noise ?obs
+            ~transport ~dyn:dynamics ?repetitions ~jobs ~spec:faults grid
+        in
+        let metrics, traced =
+          match trace with
+          | Some path ->
+              Gridb_obs.Sink.with_jsonl path (fun obs ->
+                  let m = robustness (Some obs) in
+                  (m, Some (path, Gridb_obs.Sink.count obs)))
+          | None -> (robustness None, None)
+        in
+        print_string (Gridb_experiments.Robustness.render metrics);
+        (match traced with
+        | Some (path, count) -> Printf.printf "trace: %d events -> %s\n" count path
+        | None -> ());
+        (match metrics.Gridb_experiments.Robustness.partition_drift with
+        | Some d when d > 0. ->
+            Printf.eprintf
+              "warning: live estimates re-cluster differently from planning time \
+               (partition drift %.3f); the schedule's cluster map is stale — consider \
+               replanning.\n"
+              d
+        | _ -> ());
+        0
   in
   let faults =
     Arg.(
@@ -534,7 +569,7 @@ let simulate_cmd =
   let retries =
     Arg.(
       value
-      & opt int 5
+      & opt non_negative_int 5
       & info [ "retries" ] ~docv:"N"
           ~doc:"Retransmission budget per plan edge before giving up.")
   in
@@ -552,7 +587,7 @@ let simulate_cmd =
   let reps =
     Arg.(
       value
-      & opt int 0
+      & opt non_negative_int 0
       & info [ "reps" ] ~docv:"N"
           ~doc:
             "Also aggregate the reliable run over $(docv) independent fault draws \
@@ -561,7 +596,7 @@ let simulate_cmd =
   let jitter =
     Arg.(
       value
-      & opt float 0.
+      & opt non_negative_finite 0.
       & info [ "jitter" ] ~docv:"SIGMA" ~doc:"Lognormal noise sigma for the reliable run.")
   in
   Cmd.v
@@ -570,61 +605,50 @@ let simulate_cmd =
          "Reliable broadcast under fault injection and grid dynamics (delivery ratio, \
           inflation, repair)")
     Term.(
-      const run $ heuristic $ topology_arg $ msg_arg $ seed_arg $ faults $ dynamics
+      const run $ heuristic_arg $ topology_arg $ msg_arg $ seed_arg $ faults $ dynamics
       $ retries $ transport $ reps $ jitter $ jobs_arg $ trace_arg)
 
 (* --- profile: per-phase rollup of one schedule-and-execute pipeline --- *)
 
 let profile_cmd =
-  let run heuristic topology msg root gantt trace =
-    match load_grid topology with
+  let run policy topology msg root gantt trace =
+    match load_rooted topology root with
     | Error e ->
         prerr_endline e;
         1
-    | Ok grid -> (
-        match heuristic.Heuristics.policy with
-        | None ->
-            Printf.eprintf "heuristic %s has no policy descriptor; pick one of: %s\n"
-              heuristic.Heuristics.name
-              (String.concat ", " Heuristics.names);
-            1
-        | Some policy ->
-            (* One Memory sink observes the whole pipeline: a host-time span
-               around scheduling, then the rank-level DES execution. *)
-            let mem = Gridb_obs.Sink.memory () in
-            let inst = Instance.of_grid ~root ~msg grid in
-            let schedule =
-              Gridb_obs.Span.wrap mem "schedule" (fun () ->
-                  Gridb_sched.Engine.run ~obs:mem policy inst)
-            in
-            let machines = Topology.Machines.expand grid in
-            let plan = Gridb_des.Plan.of_cluster_schedule machines schedule in
-            ignore (Gridb_des.Exec.run ~msg ~obs:mem machines plan);
-            let events = Gridb_obs.Sink.events mem in
-            Printf.printf "profile: %s, %s, %s\n" heuristic.Heuristics.name
-              (match topology with None -> "GRID5000" | Some path -> path)
-              (Gridb_util.Units.bytes_to_string msg);
-            print_string (Gridb_obs.Profile.render (Gridb_obs.Profile.of_events events));
-            if gantt then print_string (Gridb_sched.Gantt.render_events events);
-            (match trace with
-            | Some path ->
-                Gridb_obs.Sink.with_jsonl path (fun js ->
-                    List.iter (Gridb_obs.Sink.emit js) events);
-                Printf.printf "trace: %d events -> %s\n" (List.length events) path
-            | None -> ());
-            0)
+    | Ok grid ->
+        (* One Memory sink observes the whole pipeline: a host-time span
+           around scheduling, then the rank-level DES execution. *)
+        let mem = Gridb_obs.Sink.memory () in
+        let inst = Instance.of_grid ~root ~msg grid in
+        let schedule =
+          Gridb_obs.Span.wrap mem "schedule" (fun () ->
+              Engine.run ~obs:mem policy inst)
+        in
+        let machines = Topology.Machines.expand grid in
+        let plan = Gridb_des.Plan.of_cluster_schedule machines schedule in
+        ignore (Gridb_des.Exec.run ~msg ~obs:mem machines plan);
+        let events = Gridb_obs.Sink.events mem in
+        Printf.printf "profile: %s, %s, %s\n" (Policy.name policy)
+          (match topology with None -> "GRID5000" | Some path -> path)
+          (Gridb_util.Units.bytes_to_string msg);
+        print_string (Gridb_obs.Profile.render (Gridb_obs.Profile.of_events events));
+        if gantt then print_string (Gridb_sched.Gantt.render_events events);
+        (match trace with
+        | Some path ->
+            Gridb_obs.Sink.with_jsonl path (fun js ->
+                List.iter (Gridb_obs.Sink.emit js) events);
+            Printf.printf "trace: %d events -> %s\n" (List.length events) path
+        | None -> ());
+        0
   in
-  let heuristic =
-    Arg.(value & opt heuristic_conv Heuristics.ecef_la & info [ "H"; "heuristic" ] ~docv:"NAME")
-  in
-  let root = Arg.(value & opt int 0 & info [ "root" ] ~docv:"CLUSTER") in
   let gantt =
     Arg.(value & flag & info [ "gantt" ] ~doc:"Also render the executed-run event Gantt chart.")
   in
   Cmd.v
     (Cmd.info "profile"
        ~doc:"Per-phase profile (schedule vs transmit vs intra-cluster) of one broadcast")
-    Term.(const run $ heuristic $ topology_arg $ msg_arg $ root $ gantt $ trace_arg)
+    Term.(const run $ heuristic_arg $ topology_arg $ msg_arg $ root_arg $ gantt $ trace_arg)
 
 (* --- check: conformance fuzzing of the whole pipeline --- *)
 
@@ -673,7 +697,7 @@ let check_cmd =
   let count =
     Arg.(
       value
-      & opt int 100
+      & opt non_negative_int 100
       & info [ "count" ] ~docv:"N" ~doc:"Number of generated scenarios to check.")
   in
   let out =
@@ -725,33 +749,6 @@ let check_cmd =
     Term.(const run $ seed_arg $ count $ out $ replay $ list $ jobs_arg $ family)
 
 (* --- serve: broadcast-as-a-service over a seeded open-loop workload --- *)
-
-(* Numeric flags restricted to the values the service can run on, so that
-   a bad value is a usage error naming the flag, never an exception or a
-   hang.  Infinity is accepted only where it means "no limit". *)
-let float_where what ok =
-  let parse s =
-    match float_of_string_opt s with
-    | Some x when ok x -> Ok x
-    | _ -> Error (`Msg (Printf.sprintf "expected %s, got %S" what s))
-  in
-  Arg.conv (parse, Format.pp_print_float)
-
-let int_where what ok =
-  let parse s =
-    match int_of_string_opt s with
-    | Some x when ok x -> Ok x
-    | _ -> Error (`Msg (Printf.sprintf "expected %s, got %S" what s))
-  in
-  Arg.conv (parse, Format.pp_print_int)
-
-let positive_finite = float_where "a positive finite number" (fun x -> x > 0. && x < infinity)
-let positive = float_where "a positive number" (fun x -> x > 0.)
-let non_negative_finite =
-  float_where "a non-negative finite number" (fun x -> x >= 0. && x < infinity)
-let non_negative = float_where "a non-negative number" (fun x -> x >= 0.)
-let positive_int = int_where "a positive integer" (fun n -> n > 0)
-let non_negative_int = int_where "a non-negative integer" (fun n -> n >= 0)
 
 let serve_cmd =
   let run topology rate duration seed jobs transport max_concurrent max_backlog smoke

@@ -59,6 +59,6 @@ let () =
   print_endline "broadcast makespans on the detected topology (1 MB):";
   List.iter
     (fun h ->
-      Format.printf "  %-10s %a@." h.Sched.Heuristics.name Gridb_util.Units.pp_time
-        (Sched.Heuristics.makespan h inst))
-    Sched.Heuristics.all
+      Format.printf "  %-10s %a@." (Sched.Policy.name h) Gridb_util.Units.pp_time
+        (Sched.Engine.makespan h inst))
+    Sched.Policy.all

@@ -11,12 +11,12 @@ module Sched = Gridb_sched
 
 let () =
   let mixed = Sched.Mixed.strategy () in
-  let contenders = [ Sched.Heuristics.ecef_la; Sched.Heuristics.ecef_lat_max; mixed ] in
+  let contenders = [ Sched.Policy.ecef_la; Sched.Policy.ecef_lat_max; mixed ] in
   let iterations = 1_500 in
   Printf.printf "hit rate against the global minimum (%d draws/point, %s model):\n\n"
     iterations "overlapped";
   Printf.printf "%8s" "clusters";
-  List.iter (fun h -> Printf.printf "  %22s" h.Sched.Heuristics.name) contenders;
+  List.iter (fun h -> Printf.printf "  %22s" (Sched.Policy.name h)) contenders;
   print_newline ();
   List.iter
     (fun n ->

@@ -15,7 +15,7 @@ let () =
   let inst = Sched.Instance.of_grid ~root:0 ~msg:1_000_000 grid in
 
   (* Start from the worst schedule the paper considers. *)
-  let flat = Sched.Heuristics.(run flat_tree) inst in
+  let flat = Sched.Engine.run Sched.Policy.flat_tree inst in
   Printf.printf "flat tree makespan:      %.4f s\n" (seconds (Sched.Schedule.makespan inst flat));
   Sched.Gantt.print ~width:60 inst flat;
 
@@ -42,7 +42,9 @@ let () =
   (* Execute the optimum on the simulator and show its critical path. *)
   let machines = Topology.Machines.expand grid in
   let plan = Des.Plan.of_cluster_schedule machines optimal in
-  let r = Des.Exec.run ~record_trace:true ~msg:1_000_000 machines plan in
+  let obs = Gridb_obs.Sink.memory () in
+  let r = Des.Exec.run ~obs ~msg:1_000_000 machines plan in
+  let trace = Des.Trace.of_events (Gridb_obs.Sink.events obs) in
   Printf.printf "\nDES makespan:            %.4f s over %d transmissions\n"
     (seconds r.Des.Exec.makespan) r.Des.Exec.transmissions;
   print_endline "critical path (rank -> rank, arrival):";
@@ -50,8 +52,8 @@ let () =
     (fun t ->
       Printf.printf "  %3d -> %-3d at %.4f s\n" t.Des.Trace.src t.Des.Trace.dst
         (seconds t.Des.Trace.arrival))
-    (Des.Trace.critical_path r.Des.Exec.trace);
-  match Des.Trace.busiest_sender r.Des.Exec.trace with
+    (Des.Trace.critical_path trace);
+  match Des.Trace.busiest_sender trace with
   | Some (rank, busy) ->
       Printf.printf "busiest sender: rank %d (NIC busy %.4f s)\n" rank (seconds busy)
   | None -> ()

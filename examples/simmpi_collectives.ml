@@ -27,7 +27,7 @@ let () =
 
   (* The same broadcast along a grid-aware hierarchical plan. *)
   let inst = Sched.Instance.of_grid ~root:0 ~msg:1_000_000 grid in
-  let schedule = Sched.Heuristics.run Sched.Heuristics.ecef_la inst in
+  let schedule = Sched.Engine.run Sched.Policy.ecef_la inst in
   let plan = Des.Plan.of_cluster_schedule machines schedule in
   let r =
     Mpi.Runtime.run_exn machines (fun ~rank ~size:_ ->

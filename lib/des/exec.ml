@@ -4,7 +4,6 @@ type result = Session.result = {
   arrival : float array;
   makespan : float;
   transmissions : int;
-  trace : Trace.transmission list;
 }
 
 type transport = Session.transport =
@@ -26,7 +25,6 @@ type reliable = Session.reliable = {
   reroutes : (int * int * int) list;
   circuit_opens : int;
   estimator : Adaptive.t option;
-  r_trace : Trace.transmission list;
 }
 
 module Config = Session.Config
@@ -36,7 +34,8 @@ module Config = Session.Config
    launch, run to quiescence, extract.  Bit-identical to the historical
    monolithic executors (the golden corpus digest pins this). *)
 
-let run_with (config : Config.t) machines plan =
+let run ?noise ?rng ?start_delay ?msg ?obs machines plan =
+  let config = Config.v ?noise ?rng ?start_delay ?msg ?obs () in
   let n = Machines.count machines in
   if Plan.size plan <> n then invalid_arg "Exec.run: plan size mismatch";
   let wire = Wire.create ~n in
@@ -44,12 +43,6 @@ let run_with (config : Config.t) machines plan =
   let s = Session.launch ~who:"Exec.run" ~wire ~engine config machines plan in
   Engine.run engine;
   Session.result s
-
-let run ?(noise = Noise.Exact) ?rng ?(start_delay = 0.) ?(msg = 1_000_000)
-    ?(record_trace = false) ?(obs = Gridb_obs.Sink.null) machines plan =
-  run_with
-    { Config.default with noise; rng; start_delay; msg; record_trace; obs }
-    machines plan
 
 let mean_makespan ?(noise = Noise.default_measured) ?(msg = 1_000_000)
     ?(repetitions = 10) ?(jobs = 1) ~seed machines plan =
@@ -85,7 +78,12 @@ let transport_to_string = function
   | Adaptive { reroute = false; _ } -> "adaptive"
   | Adaptive { reroute = true; _ } -> "adaptive,reroute"
 
-let run_reliable_with (config : Config.t) machines plan =
+let run_reliable ?noise ?rng ?start_delay ?msg ?obs ?faults ?dynamics ?on_tick
+    ?tick_every ?retries ?rto_mult ?rto_min ?rto_max ?transport machines plan =
+  let config =
+    Config.v ?noise ?rng ?start_delay ?msg ?obs ?faults ?dynamics ?on_tick
+      ?tick_every ?retries ?rto_mult ?rto_min ?rto_max ?transport ()
+  in
   Config.validate ~who:"Exec.run_reliable" config machines plan;
   let wire = Wire.create ~n:(Session.population config machines) in
   let engine = Engine.create ~obs:config.Config.obs () in
@@ -95,14 +93,6 @@ let run_reliable_with (config : Config.t) machines plan =
   in
   Engine.run engine;
   Session.reliable_result s
-
-let run_reliable ?noise ?rng ?start_delay ?msg ?record_trace ?obs ?faults ?dynamics
-    ?on_tick ?tick_every ?retries ?rto_mult ?rto_min ?rto_max ?transport machines
-    plan =
-  run_reliable_with
-    (Config.v ?noise ?rng ?start_delay ?msg ?record_trace ?obs ?faults ?dynamics
-       ?on_tick ?tick_every ?retries ?rto_mult ?rto_min ?rto_max ?transport ())
-    machines plan
 
 type reliable_summary = {
   reps : int;

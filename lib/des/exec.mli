@@ -17,15 +17,13 @@
     emission site is a single always-false test: seeded runs are
     bit-identical with and without the instrumentation layer.
 
-    The legacy [record_trace] flag is retained as a compatibility alias: it
-    installs an internal {!Gridb_obs.Sink.memory} sink and rebuilds the
-    [trace] field from the event stream, byte-for-byte equal (ordering of
-    simultaneous arrivals included) to what the pre-bus executor
-    recorded.
+    A transmission trace is a view of that stream: pass
+    [~obs:(Gridb_obs.Sink.memory ())] and read it back with
+    {!Trace.of_events}.
 
-    Since the wire/session refactor both executors are thin wrappers over
-    {!Session} with a private {!Wire} and engine — bit-identical to the
-    historical monolithic executors (the golden corpus digest pins this).
+    Each executor builds a {!Config.t} and runs one {!Session} on a
+    private {!Wire} and engine — bit-identical to the historical
+    monolithic executors (the golden corpus digest pins this).
     The types below are equations over {!Session}'s, so values flow freely
     between the single-session API and the multi-session service layer. *)
 
@@ -33,7 +31,6 @@ type result = Session.result = {
   arrival : float array;  (** per-rank delivery time; [start_delay] at the root *)
   makespan : float;  (** max arrival *)
   transmissions : int;  (** number of point-to-point sends executed *)
-  trace : Trace.transmission list;  (** arrival-ordered; [] unless recorded *)
 }
 
 val run :
@@ -41,7 +38,6 @@ val run :
   ?rng:Gridb_util.Rng.t ->
   ?start_delay:float ->
   ?msg:int ->
-  ?record_trace:bool ->
   ?obs:Gridb_obs.Sink.t ->
   Gridb_topology.Machines.t ->
   Plan.t ->
@@ -49,10 +45,8 @@ val run :
 (** [run machines plan] broadcasts one [msg]-byte message (default 1 MB)
     along [plan].  [start_delay] (default 0., e.g. a scheduling overhead)
     postpones the root's first injection.  [rng] is required when [noise]
-    is not [Exact] (default seed 0 otherwise).  [record_trace] (default
-    false) retains every transmission for {!Trace} analysis — prefer
-    passing an [obs] sink (default {!Gridb_obs.Sink.null}) and
-    {!Trace.of_events}.
+    is not [Exact] (default seed 0 otherwise).  [obs] (default
+    {!Gridb_obs.Sink.null}) receives the run's event stream.
     @raise Invalid_argument if plan and machine view sizes differ. *)
 
 val mean_makespan :
@@ -117,33 +111,18 @@ type reliable = Session.reliable = {
   estimator : Adaptive.t option;
       (** the live estimator after quiescence — [Some] for adaptive
           transports; feed {!Adaptive.estimated_params} to replanning *)
-  r_trace : Trace.transmission list;
-      (** data transmissions, arrival-ordered; [] unless recorded *)
 }
 
 module Config = Session.Config
-(** Session configuration — the former 13 optional arguments of
-    {!run_reliable} as one record ({!Config.default} carries their
-    historical defaults; {!Config.v} builds overrides).  Shared with the
-    multi-session {!Session} layer. *)
-
-val run_with : Config.t -> Gridb_topology.Machines.t -> Plan.t -> result
-(** {!run} driven by a {!Config.t}.  Only the
-    [noise]/[rng]/[start_delay]/[msg]/[record_trace]/[obs] fields apply;
-    the reliability fields are ignored.
-    @raise Invalid_argument if plan and machine view sizes differ. *)
-
-val run_reliable_with : Config.t -> Gridb_topology.Machines.t -> Plan.t -> reliable
-(** {!run_reliable} driven by a {!Config.t} — the record-first API; the
-    optional-argument form below is a back-compat wrapper over it.
-    @raise Invalid_argument on everything {!run_reliable} raises. *)
+(** Session configuration — the optional arguments of {!run_reliable} as
+    one record ({!Config.default} carries their defaults; {!Config.v}
+    builds overrides).  Shared with the multi-session {!Session} layer. *)
 
 val run_reliable :
   ?noise:Noise.t ->
   ?rng:Gridb_util.Rng.t ->
   ?start_delay:float ->
   ?msg:int ->
-  ?record_trace:bool ->
   ?obs:Gridb_obs.Sink.t ->
   ?faults:Faults.t ->
   ?dynamics:Dynamics.t ->

@@ -9,7 +9,6 @@ type result = {
   arrival : float array;
   makespan : float;
   transmissions : int;
-  trace : Trace.transmission list;
 }
 
 type reliable = {
@@ -27,7 +26,6 @@ type reliable = {
   reroutes : (int * int * int) list;
   circuit_opens : int;
   estimator : Adaptive.t option;
-  r_trace : Trace.transmission list;
 }
 
 module Config = struct
@@ -36,7 +34,6 @@ module Config = struct
     rng : Gridb_util.Rng.t option;
     start_delay : float;
     msg : int;
-    record_trace : bool;
     obs : Sink.t;
     faults : Faults.t option;
     dynamics : Dynamics.t option;
@@ -55,7 +52,6 @@ module Config = struct
       rng = None;
       start_delay = 0.;
       msg = 1_000_000;
-      record_trace = false;
       obs = Sink.null;
       faults = None;
       dynamics = None;
@@ -69,7 +65,7 @@ module Config = struct
     }
 
   let v ?(noise = Noise.Exact) ?rng ?(start_delay = 0.) ?(msg = 1_000_000)
-      ?(record_trace = false) ?(obs = Sink.null) ?faults ?dynamics
+      ?(obs = Sink.null) ?faults ?dynamics
       ?(on_tick = fun ~now:_ _ -> ()) ?(tick_every = 0.) ?(retries = 5)
       ?(rto_mult = 2.) ?(rto_min = 1.) ?(rto_max = 1e9) ?(transport = Fixed) () =
     {
@@ -77,7 +73,6 @@ module Config = struct
       rng;
       start_delay;
       msg;
-      record_trace;
       obs;
       faults;
       dynamics;
@@ -108,42 +103,24 @@ module Config = struct
     | _ -> ()
 end
 
-(* The legacy [record_trace] path is a Memory-sink view over the same event
-   stream: the session emits [Send_start]/[Send_end] pairs to an internal
-   Memory sink and the [trace] field is rebuilt from it.  Reversing the
-   chronological stream before the (stable) arrival sort reproduces the
-   historical reverse-prepend order bit for bit, equal arrivals included. *)
-let trace_of_mem mem =
-  Trace.of_events (Sink.events mem)
-  |> List.rev
-  |> List.sort (fun (a : Trace.transmission) b -> Float.compare a.arrival b.arrival)
-
 let intra machines src dst =
   (Machines.machine machines src).Machines.cluster
   = (Machines.machine machines dst).Machines.cluster
 
 (* One session's emissions, optionally wrapped in [Event.Tagged] so
-   multi-session streams can be attributed per request.  The Memory sink
-   backing the legacy [record_trace] path receives the same (tagged)
-   stream; {!Trace.of_events} untags. *)
-let emitter ~sid ~mem ~obs =
-  let wrap =
-    match sid with None -> Fun.id | Some s -> fun e -> Event.tag ~sid:s e
+   multi-session streams can be attributed per request; {!Trace.of_events}
+   untags. *)
+let emitter ~sid ~obs =
+  let emit =
+    match sid with
+    | None -> fun e -> Sink.emit obs e
+    | Some s -> fun e -> Sink.emit obs (Event.tag ~sid:s e)
   in
-  let tracing = Sink.enabled mem || Sink.enabled obs in
-  let emit e =
-    let e = wrap e in
-    if Sink.enabled mem then Sink.emit mem e;
-    if Sink.enabled obs then Sink.emit obs e
-  in
-  (tracing, emit)
+  (Sink.enabled obs, emit)
 
 type t = {
   s_arrival : float array;
   s_transmissions : int ref;
-  s_record_trace : bool;
-  s_mem : Sink.t;
-  s_engine : Engine.t;
 }
 
 let launch ?sid ?(who = "Session.launch") ~wire ~engine (config : Config.t)
@@ -151,12 +128,11 @@ let launch ?sid ?(who = "Session.launch") ~wire ~engine (config : Config.t)
   let n = Machines.count machines in
   if Plan.size plan <> n then invalid_arg (who ^ ": plan size mismatch");
   if Wire.size wire < n then invalid_arg (who ^ ": wire smaller than machine view");
-  let { Config.noise; rng; start_delay; msg; record_trace; obs; _ } = config in
+  let { Config.noise; rng; start_delay; msg; obs; _ } = config in
   let rng = match rng with Some r -> r | None -> Gridb_util.Rng.create 0 in
   let arrival = Array.make n nan in
   let transmissions = ref 0 in
-  let mem = if record_trace then Sink.memory () else Sink.null in
-  let tracing, emit = emitter ~sid ~mem ~obs in
+  let tracing, emit = emitter ~sid ~obs in
   (* On delivery, a rank enqueues its forwarding list: each send seizes the
      NIC for one (noisy) gap; the child receives a (noisy) latency after the
      send starts injecting. *)
@@ -191,23 +167,11 @@ let launch ?sid ?(who = "Session.launch") ~wire ~engine (config : Config.t)
       plan.Plan.children.(rank)
   in
   Engine.schedule engine ~time:start_delay (deliver ~src:plan.Plan.root plan.Plan.root);
-  {
-    s_arrival = arrival;
-    s_transmissions = transmissions;
-    s_record_trace = record_trace;
-    s_mem = mem;
-    s_engine = engine;
-  }
+  { s_arrival = arrival; s_transmissions = transmissions }
 
 let result (s : t) =
   let makespan = Array.fold_left Float.max 0. s.s_arrival in
-  let trace = if s.s_record_trace then trace_of_mem s.s_mem else [] in
-  {
-    arrival = s.s_arrival;
-    makespan;
-    transmissions = !(s.s_transmissions);
-    trace;
-  }
+  { arrival = s.s_arrival; makespan; transmissions = !(s.s_transmissions) }
 
 type reliable_t = {
   r_n : int;
@@ -223,8 +187,6 @@ type reliable_t = {
   r_faults : Faults.t;
   r_dynamics : Dynamics.t option;
   r_joins : Dynamics.join array;
-  r_record_trace : bool;
-  r_mem : Sink.t;
   r_engine : Engine.t;
 }
 
@@ -263,7 +225,6 @@ let launch_reliable ?sid ?(who = "Session.launch_reliable") ~wire ~engine
     rng;
     start_delay;
     msg;
-    record_trace;
     obs;
     faults;
     dynamics;
@@ -331,8 +292,7 @@ let launch_reliable ?sid ?(who = "Session.launch_reliable") ~wire ~engine
   let retransmissions = ref 0 in
   let acks = ref 0 in
   let gave_up = ref [] in
-  let mem = if record_trace then Sink.memory () else Sink.null in
-  let tracing, emit = emitter ~sid ~mem ~obs in
+  let tracing, emit = emitter ~sid ~obs in
   let est, reroute =
     match transport with
     | Fixed -> (None, false)
@@ -668,8 +628,6 @@ let launch_reliable ?sid ?(who = "Session.launch_reliable") ~wire ~engine
     r_faults = faults;
     r_dynamics = dynamics;
     r_joins = joins;
-    r_record_trace = record_trace;
-    r_mem = mem;
     r_engine = engine;
   }
 
@@ -698,7 +656,6 @@ let reliable_result (s : reliable_t) =
   let delivered =
     Array.fold_left (fun acc h -> if h then acc + 1 else acc) 0 s.r_has_msg
   in
-  let trace = if s.r_record_trace then trace_of_mem s.r_mem else [] in
   {
     r_arrival = s.r_arr;
     r_makespan = makespan;
@@ -714,7 +671,6 @@ let reliable_result (s : reliable_t) =
     reroutes = List.rev !(s.r_reroute_log);
     circuit_opens = !(s.r_circuit_opens);
     estimator = s.r_est;
-    r_trace = trace;
   }
 
 let population (config : Config.t) machines =

@@ -4,21 +4,23 @@
     broadcasts (mixed roots, message sizes, transports) can run
     concurrently on one discrete-event {!Engine} while contending for the
     same per-NIC occupancy state ({!Wire}) — the broadcast-service
-    execution model.  {!Exec.run} and {!Exec.run_reliable} are thin
-    single-session wrappers over this module (private wire, private
-    engine) and are bit-identical to the historical executors.
+    execution model.  {!Exec.run} and {!Exec.run_reliable} each build a
+    {!Config.t} and run one session of this module on a private wire and
+    engine, bit-identical to the historical executors.
 
     Lifecycle: [launch]/[launch_reliable] validate, seed the session's
     first event at [config.start_delay] and return a handle; the caller
     runs the engine (once, for all launched sessions) and then extracts
     each session's outcome with [result]/[reliable_result].
 
-    When [sid] is given, every event the session publishes — to the
-    [config.obs] sink and to the internal trace sink — is wrapped in
-    {!Gridb_obs.Event.Tagged}[ { sid; _ }] so multi-session streams can be
-    attributed per request ({!Gridb_obs.Profile} rolls them up).  Untagged
-    ([sid] absent) sessions emit byte-identical streams to the historical
-    executors. *)
+    When [sid] is given, every event the session publishes to the
+    [config.obs] sink is wrapped in {!Gridb_obs.Event.Tagged}[ { sid; _ }]
+    so multi-session streams can be attributed per request
+    ({!Gridb_obs.Profile} rolls them up).  Untagged ([sid] absent)
+    sessions emit byte-identical streams to the historical executors.  A
+    transmission trace is a view of that stream: launch with
+    [obs = Gridb_obs.Sink.memory ()] and read it back with
+    {!Trace.of_events}. *)
 
 type transport = Fixed | Adaptive of { config : Adaptive.config; reroute : bool }
 (** See {!Exec.transport} (the public alias). *)
@@ -27,7 +29,6 @@ type result = {
   arrival : float array;
   makespan : float;
   transmissions : int;
-  trace : Trace.transmission list;
 }
 (** See {!Exec.result} (the public alias). *)
 
@@ -46,14 +47,13 @@ type reliable = {
   reroutes : (int * int * int) list;
   circuit_opens : int;
   estimator : Adaptive.t option;
-  r_trace : Trace.transmission list;
 }
 (** See {!Exec.reliable} (the public alias).  For sessions sharing an
     engine, [horizon] is the engine clock when [reliable_result] is
     called — global quiescence, not per-session. *)
 
-(** Everything a session needs besides topology and plan — the former 13
-    optional arguments of [Exec.run_reliable] as one record. *)
+(** Everything a session needs besides topology and plan — the optional
+    arguments of [Exec.run_reliable] as one record. *)
 module Config : sig
   type t = {
     noise : Noise.t;  (** per-transmission parameter noise *)
@@ -64,7 +64,6 @@ module Config : sig
             its own split stream. *)
     start_delay : float;  (** simulated time of the session's first event *)
     msg : int;  (** message size, bytes *)
-    record_trace : bool;  (** legacy trace capture (Memory-sink view) *)
     obs : Gridb_obs.Sink.t;  (** observability sink *)
     faults : Faults.t option;  (** fault model; [None] = no faults *)
     dynamics : Dynamics.t option;  (** time-varying topology model *)
@@ -80,7 +79,7 @@ module Config : sig
 
   val default : t
   (** The historical defaults of [Exec.run_reliable]: exact noise, fresh
-      seed-0 rng, 1 MB message, no faults/dynamics/trace/obs, 5 retries,
+      seed-0 rng, 1 MB message, no faults/dynamics/obs, 5 retries,
       rto_mult 2., rto_min 1., rto_max 1e9, [Fixed] transport. *)
 
   val v :
@@ -88,7 +87,6 @@ module Config : sig
     ?rng:Gridb_util.Rng.t ->
     ?start_delay:float ->
     ?msg:int ->
-    ?record_trace:bool ->
     ?obs:Gridb_obs.Sink.t ->
     ?faults:Faults.t ->
     ?dynamics:Dynamics.t ->
@@ -125,7 +123,7 @@ val launch :
 (** Seed one best-effort broadcast (the {!Exec.run} semantics) onto
     [engine]/[wire]: the root delivers to itself at [config.start_delay]
     and forwarding events cascade from there.  Only the
-    [noise]/[rng]/[start_delay]/[msg]/[record_trace]/[obs] fields of
+    [noise]/[rng]/[start_delay]/[msg]/[obs] fields of
     [config] apply; the reliability fields are ignored.  [who] (default
     ["Session.launch"]) prefixes error messages.
     @raise Invalid_argument on plan size mismatch or a wire smaller than

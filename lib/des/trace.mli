@@ -1,7 +1,8 @@
 (** Transmission traces of DES executions.
 
-    When asked ({!Exec.run} with [record_trace:true]), the executor logs
-    every point-to-point transmission; this module analyses the log:
+    A trace is a view of an executor's observability stream: run with
+    [~obs:(Gridb_obs.Sink.memory ())] and pass {!Gridb_obs.Sink.events} to
+    {!of_events}.  This module analyses the resulting log:
     per-sender NIC busy time, the critical path to the last delivery, and a
     compact textual rendering.  Used by the deeper examples and by tests
     that assert structural properties of executions (e.g. that the flat
@@ -20,7 +21,9 @@ val of_events : Gridb_obs.Event.t list -> transmission list
 (** Reconstruct transmissions from a chronological observability stream:
     each [Send_end] is paired with the latest open [Send_start] of the same
     directed link.  Unpaired starts and all other events are ignored.  The
-    result is in emission order (not sorted by arrival). *)
+    result is in emission order (not sorted by arrival); {!pp} sorts by
+    arrival itself, and {!critical_path} takes the first of equal
+    candidates in list order. *)
 
 val sender_busy_time : transmission list -> (int * float) list
 (** Total NIC occupancy per sending rank, descending. *)

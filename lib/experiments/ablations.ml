@@ -1,4 +1,5 @@
-module Heuristics = Gridb_sched.Heuristics
+module Policy = Gridb_sched.Policy
+module Engine = Gridb_sched.Engine
 module Lookahead = Gridb_sched.Lookahead
 module Instance = Gridb_sched.Instance
 module Schedule = Gridb_sched.Schedule
@@ -25,13 +26,13 @@ let sweep_figure config ~id ~title ~extract ~y_label heuristics =
   let points = Sweep.run config ~ns heuristics in
   let series =
     List.combine
-      (List.map (fun h -> h.Heuristics.name) heuristics)
+      (List.map Policy.name heuristics)
       (transpose points extract)
   in
   { Report.id; title; x_label = "clusters"; y_label; series; notes = [] }
 
 let lookahead_sweep config =
-  let heuristics = List.map Heuristics.ecef_with Lookahead.all in
+  let heuristics = List.map Policy.ecef_with Lookahead.all in
   sweep_figure config ~id:"abl-lookahead"
     ~title:"Ablation: lookahead function plugged into the ECEF driver"
     ~extract:Sweep.mean_seconds ~y_label:"mean completion time (s)" heuristics
@@ -40,15 +41,13 @@ let lookahead_sweep config =
    pair score reproduces the old ascending-(i, j) first-wins scan, and being
    a policy it runs on the incremental engine like the named heuristics. *)
 let fef_transmission =
-  Heuristics.of_policy
-    (Gridb_sched.Policy.select_min ~name:"FEF(g+L)"
-       ~score:Gridb_sched.Policy.Transmission Lookahead.none)
+  Policy.select_min ~name:"FEF(g+L)" ~score:Policy.Transmission Lookahead.none
 
 let fef_edge_weight config =
   sweep_figure config ~id:"abl-fef-edge"
     ~title:"Ablation: FEF edge weight (latency vs transmission time)"
     ~extract:Sweep.mean_seconds ~y_label:"mean completion time (s)"
-    [ Heuristics.fef; fef_transmission; Heuristics.ecef ]
+    [ Policy.fef; fef_transmission; Policy.ecef ]
 
 let intra_shape _config =
   let grid = Topology.Grid5000.grid () in
@@ -63,7 +62,7 @@ let intra_shape _config =
                 Instance.of_grid ~shape ~root:Topology.Grid5000.root_cluster ~msg grid
               in
               ( float_of_int msg,
-                seconds (Heuristics.makespan Heuristics.ecef_lat_max inst) ))
+                seconds (Engine.makespan Policy.ecef_lat_max inst) ))
             Figures.message_sizes
         in
         (Tree.shape_name shape, points))
@@ -84,12 +83,12 @@ let mixed_strategy config =
     ~title:"Ablation: Section 6 mixed strategy vs its components (hit counts)"
     ~extract:Sweep.hits
     ~y_label:(Printf.sprintf "hits out of %d" config.Config.iterations)
-    [ Heuristics.ecef_la; Heuristics.ecef_lat_max; mixed ]
+    [ Policy.ecef_la; Policy.ecef_lat_max; mixed ]
 
 let completion_models config =
   let run model label =
     let cfg = Config.with_model model config in
-    let points = Sweep.run cfg ~ns [ Heuristics.ecef; Heuristics.ecef_lat_max ] in
+    let points = Sweep.run cfg ~ns [ Policy.ecef; Policy.ecef_lat_max ] in
     List.map2
       (fun name column -> (name ^ label, column))
       [ "ECEF"; "ECEF-LAT" ]
@@ -159,11 +158,11 @@ let multilevel_gain config =
       ( "single-level ECEF-LA",
         fun msg ->
           let inst = Instance.of_grid ~root ~msg grid in
-          Des.Plan.of_cluster_schedule machines (Heuristics.run Heuristics.ecef_la inst) );
+          Des.Plan.of_cluster_schedule machines (Engine.run Policy.ecef_la inst) );
       ( "single-level FlatTree",
         fun msg ->
           let inst = Instance.of_grid ~root ~msg grid in
-          Des.Plan.of_cluster_schedule machines (Heuristics.run Heuristics.flat_tree inst)
+          Des.Plan.of_cluster_schedule machines (Engine.run Policy.flat_tree inst)
       );
     ]
   in
@@ -218,7 +217,7 @@ let ratio_sweep config ~ns ~iterations_cap ~denominator heuristics ~id ~title ~y
     ~notes =
   let iterations = min config.Config.iterations iterations_cap in
   let series =
-    List.map (fun (h : Heuristics.t) -> (h.Heuristics.name, ref [])) heuristics
+    List.map (fun (h : Policy.t) -> (Policy.name h, ref [])) heuristics
   in
   List.iteri
     (fun point n ->
@@ -228,7 +227,7 @@ let ratio_sweep config ~ns ~iterations_cap ~denominator heuristics ~id ~title ~y
         let inst = Instance.random ~rng ~n config.Config.ranges in
         let denom = denominator inst in
         List.iteri
-          (fun i h -> sums.(i) <- sums.(i) +. (Heuristics.makespan h inst /. denom))
+          (fun i h -> sums.(i) <- sums.(i) +. (Engine.makespan h inst /. denom))
           heuristics
       done;
       List.iteri
@@ -247,7 +246,7 @@ let ratio_sweep config ~ns ~iterations_cap ~denominator heuristics ~id ~title ~y
 
 let optimality_gap config =
   ratio_sweep config ~ns:[ 3; 4; 5; 6; 7 ] ~iterations_cap:400
-    ~denominator:Gridb_sched.Optimal.makespan Heuristics.all ~id:"abl-optgap"
+    ~denominator:Gridb_sched.Optimal.makespan Policy.all ~id:"abl-optgap"
     ~title:"Ablation: mean makespan ratio to the brute-force optimum"
     ~y_label:"heuristic / optimal"
     ~notes:
@@ -256,7 +255,7 @@ let optimality_gap config =
 let bound_gap config =
   ratio_sweep config ~ns ~iterations_cap:1_000
     ~denominator:Gridb_sched.Bounds.combined
-    [ Heuristics.flat_tree; Heuristics.ecef; Heuristics.ecef_la; Heuristics.ecef_lat_max ]
+    [ Policy.flat_tree; Policy.ecef; Policy.ecef_la; Policy.ecef_lat_max ]
     ~id:"abl-boundgap"
     ~title:"Ablation: mean makespan ratio to the analytic lower bound"
     ~y_label:"heuristic / lower bound"
@@ -266,8 +265,8 @@ let heterogeneity_sensitivity config =
   let n = 30 in
   let iterations = min config.Config.iterations 1_500 in
   let t_maxima_ms = [ 50.; 200.; 500.; 1_000.; 3_000.; 6_000. ] in
-  let heuristics = [ Heuristics.fef; Heuristics.ecef; Heuristics.ecef_lat_max; Heuristics.bottom_up ] in
-  let series = List.map (fun (h : Heuristics.t) -> (h.Heuristics.name, ref [])) heuristics in
+  let heuristics = [ Policy.fef; Policy.ecef; Policy.ecef_lat_max; Policy.bottom_up ] in
+  let series = List.map (fun (h : Policy.t) -> (Policy.name h, ref [])) heuristics in
   List.iteri
     (fun point t_max ->
       let rng = Config.point_rng config ~point in
@@ -278,7 +277,7 @@ let heterogeneity_sensitivity config =
       for _ = 1 to iterations do
         let inst = Instance.random ~rng ~n ranges in
         List.iteri
-          (fun i h -> sums.(i) <- sums.(i) +. Heuristics.makespan h inst)
+          (fun i h -> sums.(i) <- sums.(i) +. Engine.makespan h inst)
           heuristics
       done;
       List.iteri
@@ -300,14 +299,14 @@ let heterogeneity_sensitivity config =
 let root_rotation () =
   let grid = Topology.Grid5000.grid () in
   let msg = 1_000_000 in
-  let heuristics = [ Heuristics.flat_tree; Heuristics.ecef; Heuristics.ecef_lat_max ] in
+  let heuristics = [ Policy.flat_tree; Policy.ecef; Policy.ecef_lat_max ] in
   let series =
     List.map
-      (fun (h : Heuristics.t) ->
-        ( h.Heuristics.name,
+      (fun (h : Policy.t) ->
+        ( Policy.name h,
           List.init (Topology.Grid.size grid) (fun root ->
               let inst = Instance.of_grid ~root ~msg grid in
-              (float_of_int root, seconds (Heuristics.makespan h inst))) ))
+              (float_of_int root, seconds (Engine.makespan h inst))) ))
       heuristics
   in
   {
@@ -324,19 +323,19 @@ let local_search config =
   let iterations = min config.Config.iterations 150 in
   let small_ns = [ 4; 6; 8; 10 ] in
   let series =
-    List.map (fun (h : Heuristics.t) -> (h.Heuristics.name, ref [])) Heuristics.all
+    List.map (fun (h : Policy.t) -> (Policy.name h, ref [])) Policy.all
   in
   List.iteri
     (fun point n ->
       let rng = Config.point_rng config ~point in
-      let sums = Array.make (List.length Heuristics.all) 0. in
+      let sums = Array.make (List.length Policy.all) 0. in
       for _ = 1 to iterations do
         let inst = Instance.random ~rng ~n config.Config.ranges in
         List.iteri
           (fun i h ->
-            let s = Heuristics.run h inst in
+            let s = Engine.run h inst in
             sums.(i) <- sums.(i) +. Gridb_sched.Refine.improvement_ratio inst s)
-          Heuristics.all
+          Policy.all
       done;
       List.iteri
         (fun i (_, acc) ->
@@ -426,7 +425,7 @@ let application_payoff () =
           (fun msg ->
             let inst = Instance.of_grid ~root:0 ~msg grid in
             let plan =
-              Des.Plan.of_cluster_schedule machines (Heuristics.run Heuristics.ecef_la inst)
+              Des.Plan.of_cluster_schedule machines (Engine.run Policy.ecef_la inst)
             in
             (float_of_int msg, solver ~bcast:(Gridb_mpi.Apps.plan_bcast plan) msg))
           sizes );
@@ -449,17 +448,17 @@ let hierarchy_vs_flat () =
   let grid = Topology.Grid5000.grid () in
   let machines = Topology.Machines.expand grid in
   let root = Topology.Grid5000.root_cluster in
-  let heuristic = Heuristics.ecef_la in
+  let heuristic = Policy.ecef_la in
   let hierarchical msg =
     let inst = Instance.of_grid ~root ~msg grid in
-    let plan = Des.Plan.of_cluster_schedule machines (Heuristics.run heuristic inst) in
+    let plan = Des.Plan.of_cluster_schedule machines (Engine.run heuristic inst) in
     seconds (Des.Exec.run ~msg machines plan).Des.Exec.makespan
   in
   let node_level msg =
     let inst =
       Instance.of_machines ~root:(Topology.Machines.coordinator machines root) ~msg machines
     in
-    let plan = Des.Plan.of_flat_schedule machines (Heuristics.run heuristic inst) in
+    let plan = Des.Plan.of_flat_schedule machines (Engine.run heuristic inst) in
     seconds (Des.Exec.run ~msg machines plan).Des.Exec.makespan
   in
   let binomial msg =
@@ -476,7 +475,7 @@ let hierarchy_vs_flat () =
       ("grid-unaware binomial", List.map (fun m -> (float_of_int m, binomial m)) sizes);
     ]
   in
-  let evals n = Gridb_sched.Overhead.evaluations ~n heuristic.Heuristics.name in
+  let evals n = Gridb_sched.Overhead.evaluations ~n heuristic in
   {
     Report.id = "abl-hierarchy";
     title = "Ablation: hierarchical vs per-process scheduling (Sections 1-2)";
@@ -523,13 +522,13 @@ let tuned_intra () =
         List.map
           (fun msg ->
             ( float_of_int msg,
-              seconds (Heuristics.makespan Heuristics.ecef_lat_max (with_t binomial_t msg)) ))
+              seconds (Engine.makespan Policy.ecef_lat_max (with_t binomial_t msg)) ))
           Figures.message_sizes );
       ( "auto-tuned T",
         List.map
           (fun msg ->
             ( float_of_int msg,
-              seconds (Heuristics.makespan Heuristics.ecef_lat_max (with_t tuned_t msg)) ))
+              seconds (Engine.makespan Policy.ecef_lat_max (with_t tuned_t msg)) ))
           Figures.message_sizes );
     ]
   in
@@ -563,7 +562,7 @@ let segmented_broadcast () =
   let machines = Topology.Machines.expand grid in
   let inst = Instance.of_grid ~root:Topology.Grid5000.root_cluster ~msg:4_000_000 grid in
   let plan =
-    Des.Plan.of_cluster_schedule machines (Heuristics.run Heuristics.ecef_la inst)
+    Des.Plan.of_cluster_schedule machines (Engine.run Policy.ecef_la inst)
   in
   let segment_counts = [ 1; 2; 4; 8; 16; 32; 64 ] in
   let series =

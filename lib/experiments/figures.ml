@@ -1,4 +1,5 @@
-module Heuristics = Gridb_sched.Heuristics
+module Policy = Gridb_sched.Policy
+module Engine = Gridb_sched.Engine
 module Schedule = Gridb_sched.Schedule
 module Instance = Gridb_sched.Instance
 module Topology = Gridb_topology
@@ -6,7 +7,7 @@ module Des = Gridb_des
 
 let seconds us = us /. 1e6
 
-let labels heuristics = List.map (fun h -> h.Heuristics.name) heuristics
+let labels heuristics = List.map Policy.name heuristics
 
 let transpose_points points extract =
   (* points: Sweep.point list; extract: point -> per-heuristic float list.
@@ -44,24 +45,24 @@ let fig1_small_grids config =
   makespan_figure config ~id:"fig1"
     ~title:"Broadcast completion time, small grids (paper Fig. 1)"
     ~ns:[ 2; 3; 4; 5; 6; 7; 8; 9; 10 ]
-    Heuristics.all
+    Policy.all
 
 let large_ns = [ 5; 10; 15; 20; 25; 30; 35; 40; 45; 50 ]
 
 let fig2_large_grids config =
   makespan_figure config ~id:"fig2"
     ~title:"Broadcast completion time, up to 50 clusters (paper Fig. 2)" ~ns:large_ns
-    Heuristics.all
+    Policy.all
 
 let fig3_ecef_zoom config =
   makespan_figure config ~id:"fig3"
     ~title:"ECEF-like heuristics only (paper Fig. 3)" ~ns:large_ns
-    Heuristics.ecef_family
+    Policy.ecef_family
 
 let hit_figure config ~id ~model_name =
-  let points = Sweep.run config ~ns:large_ns Heuristics.ecef_family in
+  let points = Sweep.run config ~ns:large_ns Policy.ecef_family in
   let series =
-    List.combine (labels Heuristics.ecef_family) (transpose_points points Sweep.hits)
+    List.combine (labels Policy.ecef_family) (transpose_points points Sweep.hits)
   in
   {
     Report.id;
@@ -118,11 +119,11 @@ let fig5_predicted config =
             (fun msg ->
               let inst = Instance.of_grid ~root:grid5000_root ~msg grid in
               ( float_of_int msg,
-                seconds (Heuristics.makespan ~model:config.Config.model h inst) ))
+                seconds (Engine.makespan ~model:config.Config.model h inst) ))
             message_sizes
         in
-        (h.Heuristics.name, points))
-      Heuristics.all
+        (Policy.name h, points))
+      Policy.all
   in
   {
     Report.id = "fig5";
@@ -149,10 +150,10 @@ let fig6_measured config =
           List.map
             (fun msg ->
               let inst = Instance.of_grid ~root:grid5000_root ~msg grid in
-              let schedule = Heuristics.run h inst in
+              let schedule = Engine.run h inst in
               let plan = Des.Plan.of_cluster_schedule machines schedule in
               let overhead =
-                Gridb_sched.Overhead.cost_us ~n:inst.Instance.n h.Heuristics.name
+                Gridb_sched.Overhead.cost_us ~n:inst.Instance.n h
               in
               let rng = Gridb_util.Rng.create (config.Config.seed + msg) in
               let total = ref 0. in
@@ -165,8 +166,8 @@ let fig6_measured config =
               (float_of_int msg, seconds (!total /. float_of_int repetitions)))
             message_sizes
         in
-        (h.Heuristics.name, points))
-      Heuristics.all
+        (Policy.name h, points))
+      Policy.all
   in
   let lam_series =
     let plan =

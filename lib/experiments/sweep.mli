@@ -8,7 +8,7 @@ type point = {
 }
 
 val run :
-  Config.t -> ns:int list -> Gridb_sched.Heuristics.t list -> point list
+  Config.t -> ns:int list -> Gridb_sched.Policy.t list -> point list
 (** Point [i] uses the RNG stream [Config.point_rng ~point:i], so the same
     config yields identical draws regardless of which heuristics are
     scored — Figures 2, 3 and 4 therefore see the same instances. *)

@@ -5,7 +5,8 @@ module Tree = Gridb_collectives.Tree
 module Cost = Gridb_collectives.Cost
 module Instance = Gridb_sched.Instance
 module Schedule = Gridb_sched.Schedule
-module Heuristics = Gridb_sched.Heuristics
+module Policy = Gridb_sched.Policy
+module Engine = Gridb_sched.Engine
 module Plan = Gridb_des.Plan
 
 let representatives ~site_of_cluster ~n_clusters ~root =
@@ -71,7 +72,7 @@ let build_plan ~site_heuristic ~cluster_heuristic ~shape ~site_of_cluster ~root 
       sub_instance grid ~ids ~root_local ~msg ~t_of:(fun i ->
           cluster_t ~shape grid msg ids.(i))
     in
-    let schedule = Heuristics.run cluster_heuristic inst in
+    let schedule = Engine.run cluster_heuristic inst in
     site_sends.(s) <- global_sends ids schedule;
     site_completion.(s) <- Schedule.makespan inst schedule
   done;
@@ -82,7 +83,7 @@ let build_plan ~site_heuristic ~cluster_heuristic ~shape ~site_of_cluster ~root 
     sub_instance grid ~ids:site_ids ~root_local:root_site ~msg ~t_of:(fun s ->
         site_completion.(s))
   in
-  let site_schedule = Heuristics.run site_heuristic site_inst in
+  let site_schedule = Engine.run site_heuristic site_inst in
   let wan_sends = global_sends site_ids site_schedule in
   (* Compose rank-level children lists. *)
   let n_ranks = Machines.count machines in
@@ -108,10 +109,10 @@ let build_plan ~site_heuristic ~cluster_heuristic ~shape ~site_of_cluster ~root 
   done;
   Plan.v ~root:(coord root) ~children
 
-let plan ?(site_heuristic = Heuristics.ecef_la) ?(cluster_heuristic = Heuristics.ecef)
+let plan ?(site_heuristic = Policy.ecef_la) ?(cluster_heuristic = Policy.ecef)
     ?(shape = Tree.Binomial) ~site_of_cluster ~root ~msg machines =
   build_plan ~site_heuristic ~cluster_heuristic ~shape ~site_of_cluster ~root ~msg machines
 
 let flat_sites_plan ?(shape = Tree.Binomial) ~site_of_cluster ~root ~msg machines =
-  build_plan ~site_heuristic:Heuristics.flat_tree ~cluster_heuristic:Heuristics.flat_tree
+  build_plan ~site_heuristic:Policy.flat_tree ~cluster_heuristic:Policy.flat_tree
     ~shape ~site_of_cluster ~root ~msg machines

@@ -54,7 +54,7 @@ let best_heuristic inst heuristics =
       let scored =
         List.map
           (fun h ->
-            let r = of_broadcast inst (Gridb_sched.Heuristics.run h inst) in
+            let r = of_broadcast inst (Gridb_sched.Engine.run h inst) in
             (h, r))
           hs
       in

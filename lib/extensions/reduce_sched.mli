@@ -39,6 +39,6 @@ val makespan_equals_broadcast : Gridb_sched.Instance.t -> Gridb_sched.Schedule.t
     makespan (After_sends model), up to floating point. *)
 
 val best_heuristic :
-  Gridb_sched.Instance.t -> Gridb_sched.Heuristics.t list -> Gridb_sched.Heuristics.t * t
+  Gridb_sched.Instance.t -> Gridb_sched.Policy.t list -> Gridb_sched.Policy.t * t
 (** Schedule a reduction with every given heuristic (via duality) and keep
     the best.  @raise Invalid_argument on an empty list. *)

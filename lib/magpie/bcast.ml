@@ -1,5 +1,6 @@
 module Machines = Gridb_topology.Machines
-module Heuristics = Gridb_sched.Heuristics
+module Policy = Gridb_sched.Policy
+module Overhead = Gridb_sched.Overhead
 module Schedule = Gridb_sched.Schedule
 module Plan = Gridb_des.Plan
 module Exec = Gridb_des.Exec
@@ -9,16 +10,16 @@ module Event = Gridb_obs.Event
 type strategy =
   | Binomial_world
   | Flat_two_level
-  | Scheduled of Heuristics.t
-  | Adaptive of Heuristics.t list
+  | Scheduled of Policy.t
+  | Adaptive of Policy.t list
 
 let strategy_name = function
   | Binomial_world -> "binomial-world"
   | Flat_two_level -> "flat-two-level"
-  | Scheduled h -> "scheduled:" ^ h.Heuristics.name
+  | Scheduled h -> "scheduled:" ^ Policy.name h
   | Adaptive hs ->
       "adaptive:"
-      ^ String.concat "," (List.map (fun h -> h.Heuristics.name) hs)
+      ^ String.concat "," (List.map Policy.name hs)
 
 let pick_adaptive tuning hs ~root ~msg =
   if hs = [] then invalid_arg "Magpie.Bcast: Adaptive with no candidates";
@@ -39,7 +40,7 @@ let pick_adaptive tuning hs ~root ~msg =
   if Sink.enabled obs then
     Sink.emit obs
       (Event.Strategy_selected
-         { name = best.Heuristics.name; predicted = best_makespan });
+         { name = Policy.name best; predicted = best_makespan });
   best
 
 let plan tuning strategy ~root ~msg =
@@ -49,7 +50,7 @@ let plan tuning strategy ~root ~msg =
       Plan.binomial_ranks machines ~root:(Machines.coordinator machines root)
   | Flat_two_level ->
       Plan.of_cluster_schedule machines
-        (Tuning.schedule tuning ~heuristic:Heuristics.flat_tree ~root ~msg)
+        (Tuning.schedule tuning ~heuristic:Policy.flat_tree ~root ~msg)
   | Scheduled h ->
       Plan.of_cluster_schedule machines (Tuning.schedule tuning ~heuristic:h ~root ~msg)
   | Adaptive hs ->
@@ -71,7 +72,7 @@ let predict tuning strategy ~root ~msg =
       (Exec.run ~msg:(Tuning.size_class msg) measured_machines p).Exec.makespan
   | Flat_two_level ->
       Schedule.makespan inst
-        (Tuning.schedule tuning ~heuristic:Heuristics.flat_tree ~root ~msg)
+        (Tuning.schedule tuning ~heuristic:Policy.flat_tree ~root ~msg)
   | Scheduled h ->
       Schedule.makespan inst (Tuning.schedule tuning ~heuristic:h ~root ~msg)
   | Adaptive hs ->
@@ -83,18 +84,11 @@ let scheduling_cost strategy ~n ~fresh =
   else
     match strategy with
     | Binomial_world -> 0.
-    | Flat_two_level -> Gridb_sched.Overhead.cost_us ~n "FlatTree"
-    | Scheduled h -> (
-        (* Use the policy descriptor when there is one — exact for
-           parameterised names the string model would have to guess at. *)
-        match h.Heuristics.policy with
-        | Some p ->
-            Gridb_sched.Overhead.of_policy ~n p
-            *. Gridb_sched.Overhead.default_per_evaluation_us
-        | None -> Gridb_sched.Overhead.cost_us ~n h.Heuristics.name)
+    | Flat_two_level -> Overhead.cost_us ~n Policy.flat_tree
+    | Scheduled h -> Overhead.cost_us ~n h
     | Adaptive hs ->
         Gridb_sched.Portfolio.scheduling_evaluations ~heuristics:hs n
-        *. Gridb_sched.Overhead.default_per_evaluation_us
+        *. Overhead.default_per_evaluation_us
 
 let execute ?noise ?seed ?(charge_overhead = true) ?obs tuning strategy ~root ~msg =
   let machines = Tuning.machines tuning in

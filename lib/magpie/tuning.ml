@@ -75,11 +75,11 @@ let instance t ~root ~msg =
 let schedule ?estimator t ~heuristic ~root ~msg =
   let key =
     Plan_cache.key ~fingerprint:t.fingerprint ~root ~msg
-      ~policy:heuristic.Gridb_sched.Heuristics.name
+      ~policy:(Gridb_sched.Policy.name heuristic)
   in
   let s, _ =
     Plan_cache.lookup t.cache ?estimator key ~compute:(fun () ->
-        Gridb_sched.Heuristics.run heuristic (instance t ~root ~msg))
+        Gridb_sched.Engine.run heuristic (instance t ~root ~msg))
   in
   s
 

@@ -54,7 +54,7 @@ val instance : t -> root:int -> msg:int -> Gridb_sched.Instance.t
 val schedule :
   ?estimator:Gridb_des.Adaptive.t ->
   t ->
-  heuristic:Gridb_sched.Heuristics.t ->
+  heuristic:Gridb_sched.Policy.t ->
   root:int ->
   msg:int ->
   Gridb_sched.Schedule.t

@@ -8,8 +8,8 @@
       [Null]-sink run is bit-identical to an uninstrumented one (the
       invariant the property tests pin down).
     - {!memory} — accumulates events in order; {!events} reads them back.
-      This is what the [record_trace] compat path and the consumers
-      ([Trace.of_events], {!Profile.of_events}) build on.
+      This is what the consumers ([Trace.of_events],
+      {!Profile.of_events}) build on.
     - {!jsonl} / {!with_jsonl} — streams one {!Event.to_json} line per
       event to a channel; {!read} parses a file back losslessly. *)
 

@@ -49,12 +49,18 @@ val run : ?mode:mode -> ?obs:Gridb_obs.Sink.t -> Policy.t -> Instance.t -> Sched
 val run_stats :
   ?mode:mode -> ?obs:Gridb_obs.Sink.t -> Policy.t -> Instance.t -> Schedule.t * stats
 (** Same, also returning work counters — the naive counters match the
-    {!Overhead} closed forms exactly.  Kept as a thin compatibility wrapper
-    over the bus: the returned record holds the same values the [Counter]
-    events publish. *)
+    {!Overhead} closed forms exactly.  This is the implementation and {!run}
+    is its projection: the returned record holds the same values the
+    [Counter] events publish, read without a sink, so a caller timing the
+    engine does not also time event emission. *)
+
+val makespan :
+  ?model:Schedule.completion_model -> ?mode:mode -> Policy.t -> Instance.t -> float
+(** [Schedule.makespan ?model inst (run ?mode policy inst)]. *)
 
 val naive_select : Policy.t -> State.t -> int * int
 (** One reference selection round: the (sender, receiver) pair the naive
-    scan picks in the given state.  This is what {!Heuristics.t}'s [select]
-    closure delegates to.
+    scan picks in the given state, for callers that drive {!State.run}
+    themselves ({!Repair}); [State.run (naive_select p)] builds the same
+    schedule as [run p].
     @raise Invalid_argument if the state is finished. *)

@@ -100,7 +100,7 @@ let search ?(config = default_config) ?model ?seeds inst =
   let seeds =
     match seeds with
     | Some s -> s
-    | None -> List.map (fun h -> Heuristics.run h inst) Heuristics.all
+    | None -> List.map (fun p -> Engine.run p inst) Policy.all
   in
   let fitness picks =
     match Refine.replay inst picks with

@@ -27,7 +27,7 @@ val search :
   ?seeds:Schedule.t list ->
   Instance.t ->
   Schedule.t
-(** Run the GA.  [seeds] (default: every heuristic of {!Heuristics.all}
+(** Run the GA.  [seeds] (default: every heuristic of {!Policy.all}
     applied to the instance) initialises the population; random valid
     completions fill the rest.  Returns the best valid schedule found —
     never worse than the best seed under [model].

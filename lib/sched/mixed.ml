@@ -1,18 +1,5 @@
 let default_threshold = 10
 
-let strategy ?(threshold = default_threshold) ?(small = Heuristics.ecef_la)
-    ?(large = Heuristics.ecef_lat_max) () =
-  match (small.Heuristics.policy, large.Heuristics.policy) with
-  | Some sp, Some lp ->
-      Heuristics.of_policy (Policy.sized ~threshold ~small:sp ~large:lp)
-  | _ ->
-      (* Ad-hoc components have no descriptor: fall back to closure
-         dispatch, keeping the same name scheme. *)
-      let name =
-        Printf.sprintf "Mixed<%s|%s@%d>" small.Heuristics.name
-          large.Heuristics.name threshold
-      in
-      Heuristics.v ~name (fun state ->
-          let n = (State.instance state).Instance.n in
-          if n <= threshold then small.Heuristics.select state
-          else large.Heuristics.select state)
+let strategy ?(threshold = default_threshold) ?(small = Policy.ecef_la)
+    ?(large = Policy.ecef_lat_max) () =
+  Policy.sized ~threshold ~small ~large

@@ -22,20 +22,14 @@ val lookahead_evaluations : int -> float
 (** [sum over rounds r of (n - r) * (n - r - 1)] — one [F_j] per receiver
     per round, each folding over [B \ {j}]. *)
 
-val of_policy : n:int -> Policy.t -> float
+val evaluations : n:int -> Policy.t -> float
 (** Evaluation count for a policy descriptor; [Sized] policies are
     resolved against [n] first, so [Mixed<...>] is charged for the branch
     it actually runs. *)
-
-val evaluations : n:int -> string -> float
-(** Count for a heuristic given by name: {!Policy.by_name} first (which
-    understands the parameterised ["ECEF-LA<...>"] and ["Mixed<...>"]
-    names), then a string-prefix guess for unknown names (which get the
-    ECEF count). *)
 
 val default_per_evaluation_us : float
 (** 0.5 us per candidate evaluation — a conservative figure for the 2006-era
     hosts the paper used. *)
 
-val cost_us : ?per_evaluation_us:float -> n:int -> string -> float
+val cost_us : ?per_evaluation_us:float -> n:int -> Policy.t -> float
 (** Scheduling delay (us) to charge before the root's first transmission. *)

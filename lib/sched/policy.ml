@@ -47,6 +47,7 @@ let ecef_lat_max = ecef_with ~name:"ECEF-LAT" Lookahead.max_edge_plus_t
 let bottom_up = { name = "BottomUp"; shape = Max_reach }
 
 let all = [ flat_tree; fef; ecef; ecef_la; ecef_lat_min; ecef_lat_max; bottom_up ]
+let ecef_family = [ ecef; ecef_la; ecef_lat_min; ecef_lat_max ]
 let names = List.map name all
 
 let sized ~threshold ~small ~large =

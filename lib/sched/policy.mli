@@ -10,8 +10,9 @@
     schedule the reference scan defines, including ascending-(i, j)
     tie-breaking.
 
-    {!Heuristics} keeps the historical closure-based record as a thin
-    wrapper over this module. *)
+    This is the only runtime representation of a heuristic: the paper's
+    seven are the values below, ablations are built with {!select_min},
+    and the Section 6 mixed strategy is a {!Sized} policy. *)
 
 type pair_score =
   | Latency  (** [L_ij] — FEF.  Static: no {!State.send} invalidates it. *)
@@ -55,16 +56,35 @@ val v : name:string -> shape -> t
 (** Custom policy. *)
 
 val flat_tree : t
+(** Root sends to every other cluster in index order (ECO / MagPIe). *)
+
 val fef : t
+(** Fastest Edge First: smallest [L_ij] over [A x B]; ignores ready times. *)
+
 val ecef : t
+(** Early Completion Edge First: minimises [avail_i + g_ij + L_ij]. *)
+
 val ecef_la : t
+(** ECEF with Bhat's lookahead [F_j = min (g_jk + L_jk)]. *)
+
 val ecef_lat_min : t
+(** ECEF-LAt: lookahead [min (g_jk + L_jk + T_k)]. *)
+
 val ecef_lat_max : t
+(** ECEF-LAT: lookahead [max (g_jk + L_jk + T_k)]. *)
+
 val bottom_up : t
+(** Max-min: picks the receiver whose {e best} reach
+    [min_i (avail_i + g_ij + L_ij) + T_j] is {e largest}, served by that
+    best sender — contact the slowest clusters as early as possible. *)
 
 val all : t list
-(** The seven paper heuristics, in paper order (same order and names as
-    {!Heuristics.all}). *)
+(** The seven paper heuristics in paper order: FlatTree, FEF, ECEF,
+    ECEF-LA, ECEF-LAt, ECEF-LAT, BottomUp. *)
+
+val ecef_family : t list
+(** The four curves of Figures 3 and 4: ECEF, ECEF-LA, ECEF-LAt,
+    ECEF-LAT. *)
 
 val names : string list
 (** [List.map name all] — {e the} policy name table.  Every surface that

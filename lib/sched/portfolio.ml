@@ -5,13 +5,13 @@ type choice = {
   evaluated : int;
 }
 
-let run ?model ?(heuristics = Heuristics.all) inst =
+let run ?model ?(heuristics = Policy.all) inst =
   if heuristics = [] then invalid_arg "Portfolio.run: empty heuristic list";
   let scored =
     List.map
-      (fun h ->
-        let schedule = Heuristics.run h inst in
-        (h.Heuristics.name, schedule, Schedule.makespan ?model inst schedule))
+      (fun p ->
+        let schedule = Engine.run p inst in
+        (Policy.name p, schedule, Schedule.makespan ?model inst schedule))
       heuristics
   in
   let name, schedule, makespan =
@@ -22,14 +22,5 @@ let run ?model ?(heuristics = Heuristics.all) inst =
   in
   { heuristic = name; schedule; makespan; evaluated = List.length heuristics }
 
-let scheduling_evaluations ?(heuristics = Heuristics.all) n =
-  (* Charge by descriptor when the heuristic carries one (exact for the
-     parameterised ECEF-LA<...> and Mixed<...> names); by name otherwise. *)
-  List.fold_left
-    (fun acc h ->
-      acc
-      +.
-      match h.Heuristics.policy with
-      | Some p -> Overhead.of_policy ~n p
-      | None -> Overhead.evaluations ~n h.Heuristics.name)
-    0. heuristics
+let scheduling_evaluations ?(heuristics = Policy.all) n =
+  List.fold_left (fun acc p -> acc +. Overhead.evaluations ~n p) 0. heuristics

@@ -16,12 +16,12 @@ type choice = {
 
 val run :
   ?model:Schedule.completion_model ->
-  ?heuristics:Heuristics.t list ->
+  ?heuristics:Policy.t list ->
   Instance.t ->
   choice
-(** Defaults to {!Heuristics.all}.  Ties keep the earliest heuristic in
+(** Defaults to {!Policy.all}.  Ties keep the earliest heuristic in
     list order.  @raise Invalid_argument on an empty heuristic list. *)
 
-val scheduling_evaluations : ?heuristics:Heuristics.t list -> int -> float
+val scheduling_evaluations : ?heuristics:Policy.t list -> int -> float
 (** [scheduling_evaluations n]: total {!Overhead.evaluations} of running the
     whole portfolio on [n] clusters — the price of the 100% hit rate. *)

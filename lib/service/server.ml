@@ -1,7 +1,8 @@
 module Machines = Gridb_topology.Machines
 module Grid = Gridb_topology.Grid
 module Fingerprint = Gridb_topology.Fingerprint
-module Heuristics = Gridb_sched.Heuristics
+module Policy = Gridb_sched.Policy
+module Sched_engine = Gridb_sched.Engine
 module Instance = Gridb_sched.Instance
 module Schedule = Gridb_sched.Schedule
 module Session = Gridb_des.Session
@@ -103,10 +104,10 @@ let percentile sorted p =
     let idx = int_of_float (ceil (p /. 100. *. float_of_int m)) - 1 in
     sorted.(min (m - 1) (max 0 idx))
 
-let heuristic_of policy =
-  match Heuristics.by_name policy with
-  | Some h -> h
-  | None -> invalid_arg (Printf.sprintf "Server.run: unknown policy %S" policy)
+let policy_of name =
+  match Policy.by_name name with
+  | Some p -> p
+  | None -> invalid_arg (Printf.sprintf "Server.run: unknown policy %S" name)
 
 (* Cluster-level live view for retry replanning: the retry's estimator
    rescales the nominal inter-cluster latency/gap matrices by the measured
@@ -152,7 +153,7 @@ let run ?(jobs = 1) ?transport ?admission ?cache ?(obs = Sink.null) ?(seed = 0)
       if i > 0 && r.Workload.at < requests.(i - 1).Workload.at then
         invalid_arg "Server.run: requests not in arrival order")
     requests;
-  let known (r : Workload.request) = Heuristics.by_name r.Workload.policy <> None in
+  let known (r : Workload.request) = Policy.by_name r.Workload.policy <> None in
   let chaotic =
     faults <> None || dynamics <> None || retry.budget > 0
     || Admission.shedding admission
@@ -186,9 +187,9 @@ let run ?(jobs = 1) ?transport ?admission ?cache ?(obs = Sink.null) ?(seed = 0)
     Pool.mapi ~jobs
       (fun _ (k : Plan_cache.key) ->
         let t0 = Unix.gettimeofday () in
-        let h = heuristic_of k.Plan_cache.policy in
+        let h = policy_of k.Plan_cache.policy in
         let inst = Instance.of_grid ~root:k.Plan_cache.root ~msg:k.Plan_cache.bucket grid in
-        let s = Heuristics.run h inst in
+        let s = Sched_engine.run h inst in
         let predicted = Schedule.makespan inst s in
         (s, predicted, (Unix.gettimeofday () -. t0) *. 1e6))
       unique
@@ -396,7 +397,7 @@ let run ?(jobs = 1) ?transport ?admission ?cache ?(obs = Sink.null) ?(seed = 0)
             | Admission.Admit ->
                 let estimator = prev.Session.estimator in
                 let compute () =
-                  let h = heuristic_of r.Workload.policy in
+                  let h = policy_of r.Workload.policy in
                   let inst =
                     Instance.of_grid ~root:r.Workload.root ~msg:k.Plan_cache.bucket grid
                   in
@@ -405,7 +406,7 @@ let run ?(jobs = 1) ?transport ?admission ?cache ?(obs = Sink.null) ?(seed = 0)
                     | Some est -> estimated_instance est machines inst
                     | None -> inst
                   in
-                  Heuristics.run h inst
+                  Sched_engine.run h inst
                 in
                 let schedule, _ = Plan_cache.lookup cache ?estimator k ~compute in
                 incr retry_lookups;

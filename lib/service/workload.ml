@@ -60,7 +60,7 @@ let validate_mix machines m =
     invalid_arg "Workload.generate: empty policy mix";
   Array.iter
     (fun p ->
-      if Gridb_sched.Heuristics.by_name p = None then
+      if Gridb_sched.Policy.by_name p = None then
         invalid_arg (Printf.sprintf "Workload.generate: unknown policy %S" p))
     m.policies;
   if Array.length m.deadlines = 0 then

@@ -32,19 +32,26 @@ let to_string grid =
 
 exception Parse_error of string
 
+(* Latencies and gap values are times: finite and non-negative, so that no
+   NaN or infinity reaches a schedule. *)
+let time_of_string s =
+  match float_of_string_opt s with
+  | Some x when Float.is_finite x && x >= 0. -> Some x
+  | _ -> None
+
 let parse_gap_points s =
   String.split_on_char ',' s
   |> List.map (fun pair ->
          match String.split_on_char ':' pair with
          | [ size; value ] -> (
-             match (int_of_string_opt size, float_of_string_opt value) with
+             match (int_of_string_opt size, time_of_string value) with
              | Some s, Some v -> (s, v)
              | _ -> raise (Parse_error ("bad gap point " ^ pair)))
          | _ -> raise (Parse_error ("bad gap point " ^ pair)))
 
 let parse_params = function
   | "L" :: lat :: "G" :: gap :: [] -> (
-      match float_of_string_opt lat with
+      match time_of_string lat with
       | None -> raise (Parse_error ("bad latency " ^ lat))
       | Some latency ->
           Params.v ~latency ~gap:(Piecewise.of_points (parse_gap_points gap)) ())
@@ -70,25 +77,28 @@ let of_string text =
         in
         let clusters = Array.make n None in
         let links = Array.make_matrix n n None in
+        let directive toks =
+          match toks with
+          | "cluster" :: id :: name :: size :: params -> (
+              match (int_of_string_opt id, int_of_string_opt size) with
+              | Some id, Some size when id >= 0 && id < n ->
+                  let intra = parse_params params in
+                  clusters.(id) <- Some (Cluster.v ~id ~name ~size ~intra)
+              | _ -> raise (Parse_error "bad cluster header"))
+          | "link" :: i :: j :: params -> (
+              match (int_of_string_opt i, int_of_string_opt j) with
+              | Some i, Some j when i >= 0 && i < n && j >= 0 && j < n && i <> j ->
+                  links.(i).(j) <- Some (parse_params params)
+              | _ -> raise (Parse_error "bad link header"))
+          | _ -> raise (Parse_error "unknown directive")
+        in
         List.iter
           (fun (ln, line) ->
-            let toks =
-              String.split_on_char ' ' line |> List.filter (fun t -> t <> "")
-            in
-            match toks with
-            | "cluster" :: id :: name :: size :: params -> (
-                match (int_of_string_opt id, int_of_string_opt size) with
-                | Some id, Some size when id >= 0 && id < n ->
-                    let intra = parse_params params in
-                    clusters.(id) <- Some (Cluster.v ~id ~name ~size ~intra)
-                | _ ->
-                    raise (Parse_error (Printf.sprintf "line %d: bad cluster header" ln)))
-            | "link" :: i :: j :: params -> (
-                match (int_of_string_opt i, int_of_string_opt j) with
-                | Some i, Some j when i >= 0 && i < n && j >= 0 && j < n && i <> j ->
-                    links.(i).(j) <- Some (parse_params params)
-                | _ -> raise (Parse_error (Printf.sprintf "line %d: bad link header" ln)))
-            | _ -> raise (Parse_error (Printf.sprintf "line %d: unknown directive" ln)))
+            (* The constructors' own checks (a size-0 cluster, a negative
+               gap-table size) are parse errors of this line too. *)
+            try directive (String.split_on_char ' ' line |> List.filter (fun t -> t <> ""))
+            with Parse_error reason | Invalid_argument reason ->
+              raise (Parse_error (Printf.sprintf "line %d: %s" ln reason)))
           rest;
         let cluster_list =
           Array.to_list clusters
@@ -109,7 +119,7 @@ let of_string text =
                         raise (Parse_error (Printf.sprintf "link %d -> %d missing" i j))))
         in
         Ok (Grid.v ~clusters:cluster_list ~inter)
-  with Parse_error reason -> Error reason
+  with Parse_error reason | Invalid_argument reason -> Error reason
 
 let save path grid =
   let oc = open_out path in

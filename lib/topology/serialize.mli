@@ -17,7 +17,10 @@
 
 val to_string : Grid.t -> string
 val of_string : string -> (Grid.t, string) result
-(** Parse failure yields [Error reason] with a line number. *)
+(** Parse failure yields [Error reason] with a line number.  A latency or
+    gap value that is not a finite non-negative number, and any value a
+    constructor rejects (a cluster of size 0, for one), is a parse
+    failure; this function never raises. *)
 
 val save : string -> Grid.t -> unit
 (** Write to a file.  @raise Sys_error on IO failure. *)

@@ -13,7 +13,8 @@ module Grid5000 = Gridb_topology.Grid5000
 module Generators = Gridb_topology.Generators
 module Instance = Gridb_sched.Instance
 module Schedule = Gridb_sched.Schedule
-module Heuristics = Gridb_sched.Heuristics
+module Policy = Gridb_sched.Policy
+module Sched_engine = Gridb_sched.Engine
 module Params = Gridb_plogp.Params
 module Rng = Gridb_util.Rng
 
@@ -575,7 +576,7 @@ let test_plan_flat_ranks () =
 let test_plan_of_schedule_structure () =
   let m = machines () in
   let inst = Instance.of_grid ~root:0 ~msg:1_000_000 (Grid5000.grid ()) in
-  let sched = Heuristics.run Heuristics.ecef_la inst in
+  let sched = Sched_engine.run Policy.ecef_la inst in
   let p = Plan.of_cluster_schedule m sched in
   Alcotest.(check int) "spans ranks" 88 (Plan.size p);
   Alcotest.(check int) "rooted at coordinator 0" 0 p.Plan.root;
@@ -596,7 +597,7 @@ let test_plan_of_schedule_structure () =
 let test_plan_of_flat_schedule () =
   let m = machines () in
   let inst = Gridb_sched.Instance.of_machines ~root:0 ~msg:1_000_000 m in
-  let schedule = Heuristics.run Heuristics.ecef inst in
+  let schedule = Sched_engine.run Policy.ecef inst in
   let plan = Plan.of_flat_schedule m schedule in
   Alcotest.(check int) "spans all machines" 88 (Plan.size plan);
   (* the DES agrees with the flat schedule's analytic makespan (T = 0) *)
@@ -613,9 +614,9 @@ let plan_of_schedule_spans_random =
       let inst = Instance.of_grid ~root:0 ~msg:500_000 grid in
       List.for_all
         (fun h ->
-          let p = Plan.of_cluster_schedule m (Heuristics.run h inst) in
+          let p = Plan.of_cluster_schedule m (Sched_engine.run h inst) in
           Plan.size p = Machines.count m)
-        Heuristics.all)
+        Policy.all)
 
 (* --- Exec: exactness against the analytic models ------------------------ *)
 
@@ -627,14 +628,14 @@ let test_exec_matches_schedule_makespan () =
       let inst = Instance.of_grid ~root:0 ~msg grid in
       List.iter
         (fun h ->
-          let sched = Heuristics.run h inst in
+          let sched = Sched_engine.run h inst in
           let predicted = Schedule.makespan inst sched in
           let plan = Plan.of_cluster_schedule m sched in
           let r = Exec.run ~msg m plan in
           check_feq ~eps:1e-9
-            (Printf.sprintf "%s at %d B" h.Heuristics.name msg)
+            (Printf.sprintf "%s at %d B" (Policy.name h) msg)
             predicted r.Exec.makespan)
-        Heuristics.all)
+        Policy.all)
     [ 1_000; 1_000_000; 4_000_000 ]
 
 let test_exec_matches_tree_cost () =
@@ -705,33 +706,37 @@ let exec_arrival_monotone_along_tree =
 
 (* --- Trace ------------------------------------------------------------ *)
 
+(* A run observed by a Memory sink, and the trace read back off it. *)
+let traced ?msg m plan =
+  let obs = Gridb_obs.Sink.memory () in
+  let r = Exec.run ?msg ~obs m plan in
+  (r, Gridb_des.Trace.of_events (Gridb_obs.Sink.events obs))
+
 let test_trace_recorded_on_request () =
   let m = machines () in
   let plan = Plan.binomial_ranks m ~root:0 in
-  let quiet = Exec.run m plan in
-  Alcotest.(check int) "no trace by default" 0 (List.length quiet.Exec.trace);
-  let r = Exec.run ~record_trace:true m plan in
+  let r, trace = traced m plan in
   Alcotest.(check int) "one record per transmission" r.Exec.transmissions
-    (List.length r.Exec.trace);
-  Alcotest.(check int) "87 transmissions" 87 (List.length r.Exec.trace)
+    (List.length trace);
+  Alcotest.(check int) "87 transmissions" 87 (List.length trace)
 
 let test_trace_flat_root_busiest () =
   let m = machines () in
   let plan = Plan.flat_ranks m ~root:0 in
-  let r = Exec.run ~record_trace:true m plan in
-  (match Gridb_des.Trace.busiest_sender r.Exec.trace with
+  let r, trace = traced m plan in
+  (match Gridb_des.Trace.busiest_sender trace with
   | Some (rank, busy) ->
       Alcotest.(check int) "root carries all traffic" 0 rank;
       Alcotest.(check bool) "busy the whole run" true (busy > 0.9 *. r.Exec.makespan)
   | None -> Alcotest.fail "no senders");
   Alcotest.(check int) "only one sender" 1
-    (List.length (Gridb_des.Trace.sender_busy_time r.Exec.trace))
+    (List.length (Gridb_des.Trace.sender_busy_time trace))
 
 let test_trace_critical_path () =
   let m = machines () in
   let plan = Plan.binomial_ranks m ~root:0 in
-  let r = Exec.run ~record_trace:true m plan in
-  let path = Gridb_des.Trace.critical_path r.Exec.trace in
+  let r, trace = traced m plan in
+  let path = Gridb_des.Trace.critical_path trace in
   Alcotest.(check bool) "non-empty" true (path <> []);
   (* path starts at the root and ends at the latest arrival *)
   let first = List.hd path and last = List.nth path (List.length path - 1) in
@@ -748,33 +753,36 @@ let test_trace_critical_path () =
 let test_trace_total_bytes () =
   let m = machines () in
   let plan = Plan.binomial_ranks m ~root:0 in
-  let r = Exec.run ~record_trace:true ~msg:1_000 m plan in
-  Alcotest.(check int) "87 KB moved" 87_000 (Gridb_des.Trace.total_bytes r.Exec.trace)
+  let _, trace = traced ~msg:1_000 m plan in
+  Alcotest.(check int) "87 KB moved" 87_000 (Gridb_des.Trace.total_bytes trace)
 
 (* --- Overhead ------------------------------------------------------------ *)
 
 let test_overhead_shapes () =
-  Alcotest.(check bool) "flat linear" true (Overhead.evaluations ~n:50 "FlatTree" = 50.);
-  let ecef = Overhead.evaluations ~n:20 "ECEF" in
-  let la = Overhead.evaluations ~n:20 "ECEF-LA" in
+  Alcotest.(check bool) "flat linear" true
+    (Overhead.evaluations ~n:50 Policy.flat_tree = 50.);
+  let ecef = Overhead.evaluations ~n:20 Policy.ecef in
+  let la = Overhead.evaluations ~n:20 Policy.ecef_la in
   Alcotest.(check bool) "lookahead costs more" true (la > ecef);
   Alcotest.(check bool) "LAT like LA" true
-    (Overhead.evaluations ~n:20 "ECEF-LAT" = la);
+    (Overhead.evaluations ~n:20 Policy.ecef_lat_max = la);
   (* pair scans: sum r(n-r) for n=4 -> 3+4+3 = 10 *)
-  Alcotest.(check bool) "pair scan n=4" true (Overhead.evaluations ~n:4 "ECEF" = 10.);
+  Alcotest.(check bool) "pair scan n=4" true (Overhead.evaluations ~n:4 Policy.ecef = 10.);
   (* lookahead: sum b(b-1) for n=4 -> 3*2 + 2*1 + 1*0 = 8 on top of the scan *)
-  Alcotest.(check bool) "lookahead n=4" true (Overhead.evaluations ~n:4 "ECEF-LA" = 18.);
-  (* parameterised names resolve through the policy descriptor instead of
-     falling into the bare-scan bucket *)
+  Alcotest.(check bool) "lookahead n=4" true
+    (Overhead.evaluations ~n:4 Policy.ecef_la = 18.);
+  (* a parameterised lookahead is charged by its descriptor's shape *)
+  let min_edge_t = Option.get (Policy.by_name "ECEF-LA<min-edge+T>") in
   Alcotest.(check bool) "ECEF-LA<...> charged for lookahead" true
-    (Overhead.evaluations ~n:20 "ECEF-LA<min-edge+T>" = la);
-  let mixed = "Mixed<ECEF-LA|ECEF-LAT@10>" in
+    (Overhead.evaluations ~n:20 min_edge_t = la);
+  let mixed = Gridb_sched.Mixed.strategy () in
   Alcotest.(check bool) "mixed small branch" true
-    (Overhead.evaluations ~n:8 mixed = Overhead.evaluations ~n:8 "ECEF-LA");
+    (Overhead.evaluations ~n:8 mixed = Overhead.evaluations ~n:8 Policy.ecef_la);
   Alcotest.(check bool) "mixed large branch" true
-    (Overhead.evaluations ~n:20 mixed = Overhead.evaluations ~n:20 "ECEF-LAT");
-  check_feq "cost scales" (2. *. Overhead.cost_us ~per_evaluation_us:1. ~n:10 "ECEF")
-    (Overhead.cost_us ~per_evaluation_us:2. ~n:10 "ECEF")
+    (Overhead.evaluations ~n:20 mixed = Overhead.evaluations ~n:20 Policy.ecef_lat_max);
+  check_feq "cost scales"
+    (2. *. Overhead.cost_us ~per_evaluation_us:1. ~n:10 Policy.ecef)
+    (Overhead.cost_us ~per_evaluation_us:2. ~n:10 Policy.ecef)
 
 let () =
   let quick name f = Alcotest.test_case name `Quick f in

@@ -12,7 +12,6 @@ module State = Gridb_sched.State
 module Policy = Gridb_sched.Policy
 module Engine = Gridb_sched.Engine
 module Lookahead = Gridb_sched.Lookahead
-module Heuristics = Gridb_sched.Heuristics
 module Mixed = Gridb_sched.Mixed
 module Overhead = Gridb_sched.Overhead
 module Generators = Gridb_topology.Generators
@@ -23,7 +22,7 @@ module Rng = Gridb_util.Rng
    and both Dynamic lookaheads), the Transmission pair score, and a Sized
    dispatch with a parameterised component. *)
 let policies =
-  List.filter_map (fun h -> h.Heuristics.policy) Heuristics.all
+  Policy.all
   @ List.map Policy.ecef_with Lookahead.all
   @ [
       Policy.select_min ~name:"FEF(g+L)" ~score:Policy.Transmission Lookahead.none;
@@ -202,7 +201,7 @@ let test_overhead_cross_check () =
       let flat = count Policy.flat_tree in
       Alcotest.(check int) "flat tree selections" (n - 1) flat.Engine.pair_evaluations;
       Alcotest.(check bool) "flat model within 1" true
-        (Float.abs (Overhead.evaluations ~n "FlatTree" -. float_of_int (n - 1)) <= 1.))
+        (Float.abs (Overhead.evaluations ~n Policy.flat_tree -. float_of_int (n - 1)) <= 1.))
     [ 2; 3; 8; 17 ]
 
 (* The incremental engine must do asymptotically less pair-score work than
@@ -220,19 +219,17 @@ let test_incremental_does_less_work () =
     true
     (incr_total * 4 < naive_total)
 
-(* naive_select is the compat surface behind Heuristics.t closures. *)
-let test_naive_select_matches_closures () =
+(* naive_select, driven round by round through State.run (as Repair does),
+   builds the schedule Engine.run builds. *)
+let test_naive_select_matches_engine () =
   let rng = Rng.create 77 in
   let inst = Instance.random ~rng ~n:12 Instance.table2_ranges in
   List.iter
-    (fun (h : Heuristics.t) ->
-      match h.Heuristics.policy with
-      | None -> ()
-      | Some p ->
-          let s1 = State.run h.Heuristics.select inst in
-          let s2 = State.run (Engine.naive_select p) inst in
-          check_identical ~what:(h.Heuristics.name ^ " select closure") s1 s2)
-    (Heuristics.all @ [ Mixed.strategy () ])
+    (fun p ->
+      let s1 = State.run (Engine.naive_select p) inst in
+      let s2 = Engine.run p inst in
+      check_identical ~what:(Policy.name p ^ " naive_select") s1 s2)
+    (Policy.all @ [ Mixed.strategy () ])
 
 let () =
   let quick name f = Alcotest.test_case name `Quick f in
@@ -251,6 +248,6 @@ let () =
           quick "static scores never rescore" test_static_scores_never_rescore;
           quick "overhead cross-check" test_overhead_cross_check;
           quick "incremental does less work" test_incremental_does_less_work;
-          quick "naive_select compat" test_naive_select_matches_closures;
+          quick "naive_select compat" test_naive_select_matches_engine;
         ] );
     ]

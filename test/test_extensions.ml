@@ -8,7 +8,8 @@ module Grid5000 = Gridb_topology.Grid5000
 module Generators = Gridb_topology.Generators
 module Machines = Gridb_topology.Machines
 module Grid = Gridb_topology.Grid
-module Heuristics = Gridb_sched.Heuristics
+module Policy = Gridb_sched.Policy
+module Engine = Gridb_sched.Engine
 module Plan = Gridb_des.Plan
 module Exec = Gridb_des.Exec
 module Rng = Gridb_util.Rng
@@ -163,13 +164,13 @@ let reduce_duality_holds =
       List.for_all
         (fun h ->
           Gridb_extensions.Reduce_sched.makespan_equals_broadcast inst
-            (Heuristics.run h inst))
-        Heuristics.all)
+            (Engine.run h inst))
+        Policy.all)
 
 let test_reduce_events_are_reversed () =
   let grid = Grid5000.grid () in
   let inst = Gridb_sched.Instance.of_grid ~root:0 ~msg:1_000_000 grid in
-  let b = Heuristics.run Heuristics.ecef inst in
+  let b = Engine.run Policy.ecef inst in
   let r = Gridb_extensions.Reduce_sched.of_broadcast inst b in
   Alcotest.(check int) "same root" 0 r.Gridb_extensions.Reduce_sched.root;
   Alcotest.(check int) "same event count"
@@ -199,11 +200,11 @@ let test_reduce_events_are_reversed () =
 let test_reduce_best_heuristic () =
   let grid = Grid5000.grid () in
   let inst = Gridb_sched.Instance.of_grid ~root:0 ~msg:1_000_000 grid in
-  let h, r = Gridb_extensions.Reduce_sched.best_heuristic inst Heuristics.all in
+  let h, r = Gridb_extensions.Reduce_sched.best_heuristic inst Policy.all in
   Alcotest.(check bool) "best is not the flat tree" true
-    (h.Heuristics.name <> "FlatTree");
+    (Policy.name h <> "FlatTree");
   let _, flat =
-    Gridb_extensions.Reduce_sched.best_heuristic inst [ Heuristics.flat_tree ]
+    Gridb_extensions.Reduce_sched.best_heuristic inst [ Policy.flat_tree ]
   in
   Alcotest.(check bool) "beats flat-tree reduce" true
     (r.Gridb_extensions.Reduce_sched.makespan
@@ -217,7 +218,7 @@ let grid5000_plan_and_schedule msg =
   let grid = Grid5000.grid () in
   let machines = Machines.expand grid in
   let inst = Gridb_sched.Instance.of_grid ~root:0 ~msg grid in
-  let schedule = Heuristics.run Heuristics.ecef_la inst in
+  let schedule = Engine.run Policy.ecef_la inst in
   (grid, machines, schedule, Plan.of_cluster_schedule machines schedule)
 
 let test_pb_segment_size () =
@@ -323,7 +324,7 @@ let test_multilevel_beats_flat () =
   let grid = Machines.grid machines in
   let inst = Gridb_sched.Instance.of_grid ~root:0 ~msg grid in
   let single_flat =
-    Plan.of_cluster_schedule machines (Heuristics.run Heuristics.flat_tree inst)
+    Plan.of_cluster_schedule machines (Engine.run Policy.flat_tree inst)
   in
   let run p = (Exec.run ~msg machines p).Exec.makespan in
   Alcotest.(check bool) "heuristic multilevel <= flat multilevel" true

@@ -9,7 +9,8 @@ module Tables = Gridb_experiments.Tables
 module Ablations = Gridb_experiments.Ablations
 module Report = Gridb_experiments.Report
 module Sweep = Gridb_experiments.Sweep
-module Heuristics = Gridb_sched.Heuristics
+module Policy = Gridb_sched.Policy
+module Engine = Gridb_sched.Engine
 module Instance = Gridb_sched.Instance
 module Schedule = Gridb_sched.Schedule
 module Hit_rate = Gridb_sched.Hit_rate
@@ -118,13 +119,13 @@ let test_fig6_measured_close_to_predicted () =
      practical results" *)
   List.iter
     (fun h ->
-      let p = series_value predicted h.Heuristics.name 4_000_000. in
-      let m = series_value measured h.Heuristics.name 4_000_000. in
+      let p = series_value predicted (Policy.name h) 4_000_000. in
+      let m = series_value measured (Policy.name h) 4_000_000. in
       Alcotest.(check bool)
-        (Printf.sprintf "%s measured within 20%% of predicted" h.Heuristics.name)
+        (Printf.sprintf "%s measured within 20%% of predicted" (Policy.name h))
         true
         (Float.abs (m -. p) /. p < 0.20))
-    Heuristics.all;
+    Policy.all;
   (* Default LAM sits between the grid-aware schedules and the flat tree *)
   let lam = series_value measured "Default LAM" 4_000_000. in
   let flat = series_value measured "FlatTree" 4_000_000. in
@@ -135,8 +136,8 @@ let test_fig6_measured_close_to_predicted () =
 
 let test_sweep_deterministic () =
   let cfg = Config.with_iterations 100 quick_config in
-  let a = Sweep.run cfg ~ns:[ 4; 8 ] Heuristics.ecef_family in
-  let b = Sweep.run cfg ~ns:[ 4; 8 ] Heuristics.ecef_family in
+  let a = Sweep.run cfg ~ns:[ 4; 8 ] Policy.ecef_family in
+  let b = Sweep.run cfg ~ns:[ 4; 8 ] Policy.ecef_family in
   List.iter2
     (fun pa pb ->
       List.iter2
@@ -151,8 +152,8 @@ let test_sweep_heuristic_independent_draws () =
   (* Scoring a subset must see the same instances: ECEF's mean is identical
      whether swept alone or with the full family. *)
   let cfg = Config.with_iterations 150 quick_config in
-  let alone = Sweep.run cfg ~ns:[ 6 ] [ Heuristics.ecef ] in
-  let family = Sweep.run cfg ~ns:[ 6 ] Heuristics.ecef_family in
+  let alone = Sweep.run cfg ~ns:[ 6 ] [ Policy.ecef ] in
+  let family = Sweep.run cfg ~ns:[ 6 ] Policy.ecef_family in
   let mean_of points = (List.hd (List.hd points).Sweep.outcomes).Hit_rate.mean_makespan in
   Alcotest.(check (float 1e-9)) "same draws" (mean_of alone) (mean_of family)
 
@@ -273,7 +274,7 @@ let test_matrix_to_makespan_pipeline () =
   let partition = Gridb_clustering.Lowekamp.detect ~rho:0.30 matrix in
   let detected = Gridb_clustering.Abstraction.grid_of_matrix matrix partition in
   let inst = Instance.of_grid ~root:0 ~msg:1_000_000 detected in
-  let schedule = Heuristics.run Heuristics.ecef_la inst in
+  let schedule = Engine.run Policy.ecef_la inst in
   Alcotest.(check bool) "valid schedule" true
     (Result.is_ok (Schedule.validate inst schedule));
   let detected_machines = Machines.expand detected in
@@ -295,9 +296,9 @@ let test_serialize_cli_pipeline () =
       List.iter
         (fun h ->
           Alcotest.(check (float 1e-6))
-            h.Heuristics.name
-            (Heuristics.makespan h a) (Heuristics.makespan h b))
-        Heuristics.all);
+            (Policy.name h)
+            (Engine.makespan h a) (Engine.makespan h b))
+        Policy.all);
   Sys.remove path
 
 let test_ablation_figures_materialise () =

@@ -6,7 +6,8 @@ module Bcast = Gridb_magpie.Bcast
 module Machines = Gridb_topology.Machines
 module Grid = Gridb_topology.Grid
 module Grid5000 = Gridb_topology.Grid5000
-module Heuristics = Gridb_sched.Heuristics
+module Policy = Gridb_sched.Policy
+module Engine = Gridb_sched.Engine
 module Params = Gridb_plogp.Params
 
 let feq ?(eps = 1e-9) a b =
@@ -84,10 +85,10 @@ let test_measured_schedules_match_truth_schedules () =
   List.iter
     (fun h ->
       let s = Tuning.schedule t ~heuristic:h ~root:0 ~msg in
-      check_feq ~eps:1e-6 h.Heuristics.name
-        (Heuristics.makespan h truth_inst)
+      check_feq ~eps:1e-6 (Policy.name h)
+        (Engine.makespan h truth_inst)
         (Gridb_sched.Schedule.makespan truth_inst s))
-    Heuristics.all
+    Policy.all
 
 (* --- cache ---------------------------------------------------------------- *)
 
@@ -95,16 +96,16 @@ let test_schedule_cache () =
   let machines = small_machines () in
   let t = tuning machines in
   Alcotest.(check (pair int int)) "cold" (0, 0) (Tuning.cache_stats t);
-  ignore (Tuning.schedule t ~heuristic:Heuristics.ecef ~root:0 ~msg:1_000_000);
+  ignore (Tuning.schedule t ~heuristic:Policy.ecef ~root:0 ~msg:1_000_000);
   Alcotest.(check (pair int int)) "one miss" (0, 1) (Tuning.cache_stats t);
   (* same class (1MB -> 1048576), same heuristic, same root: a hit *)
-  ignore (Tuning.schedule t ~heuristic:Heuristics.ecef ~root:0 ~msg:1_048_000);
+  ignore (Tuning.schedule t ~heuristic:Policy.ecef ~root:0 ~msg:1_048_000);
   Alcotest.(check (pair int int)) "then a hit" (1, 1) (Tuning.cache_stats t);
   (* different root: a miss *)
-  ignore (Tuning.schedule t ~heuristic:Heuristics.ecef ~root:1 ~msg:1_000_000);
+  ignore (Tuning.schedule t ~heuristic:Policy.ecef ~root:1 ~msg:1_000_000);
   Alcotest.(check (pair int int)) "root is part of the key" (1, 2) (Tuning.cache_stats t);
   (* different heuristic: a miss *)
-  ignore (Tuning.schedule t ~heuristic:Heuristics.fef ~root:0 ~msg:1_000_000);
+  ignore (Tuning.schedule t ~heuristic:Policy.fef ~root:0 ~msg:1_000_000);
   Alcotest.(check (pair int int)) "heuristic is part of the key" (1, 3)
     (Tuning.cache_stats t)
 
@@ -124,8 +125,8 @@ let test_strategies_deliver_everywhere () =
     [
       Bcast.Binomial_world;
       Bcast.Flat_two_level;
-      Bcast.Scheduled Heuristics.ecef_la;
-      Bcast.Adaptive Heuristics.all;
+      Bcast.Scheduled Policy.ecef_la;
+      Bcast.Adaptive Policy.all;
     ]
 
 let test_scheduled_beats_baselines () =
@@ -134,20 +135,20 @@ let test_scheduled_beats_baselines () =
     (Bcast.execute ~charge_overhead:false t strategy ~root:0 ~msg:4_000_000)
       .Gridb_des.Exec.makespan
   in
-  let scheduled = time (Bcast.Scheduled Heuristics.ecef_la) in
+  let scheduled = time (Bcast.Scheduled Policy.ecef_la) in
   Alcotest.(check bool) "beats flat" true (scheduled < time Bcast.Flat_two_level);
   Alcotest.(check bool) "beats binomial" true (scheduled < time Bcast.Binomial_world)
 
 let test_adaptive_at_least_as_good_as_members () =
   let t = grid5000_tuning () in
-  let adaptive = Bcast.predict t (Bcast.Adaptive Heuristics.all) ~root:0 ~msg:2_000_000 in
+  let adaptive = Bcast.predict t (Bcast.Adaptive Policy.all) ~root:0 ~msg:2_000_000 in
   List.iter
     (fun h ->
       let single = Bcast.predict t (Bcast.Scheduled h) ~root:0 ~msg:2_000_000 in
       Alcotest.(check bool)
-        ("adaptive <= " ^ h.Heuristics.name)
+        ("adaptive <= " ^ Policy.name h)
         true (adaptive <= single +. 1e-9))
-    Heuristics.all
+    Policy.all
 
 let test_prediction_matches_execution_without_noise () =
   (* Exact measurement + exact execution: prediction = measurement. *)
@@ -160,11 +161,11 @@ let test_prediction_matches_execution_without_noise () =
           .Gridb_des.Exec.makespan
       in
       check_feq ~eps:1e-6 (Bcast.strategy_name strategy) predicted measured)
-    [ Bcast.Flat_two_level; Bcast.Scheduled Heuristics.ecef; Bcast.Binomial_world ]
+    [ Bcast.Flat_two_level; Bcast.Scheduled Policy.ecef; Bcast.Binomial_world ]
 
 let test_overhead_charged_once () =
   let t = grid5000_tuning () in
-  let strategy = Bcast.Scheduled Heuristics.ecef_lat_max in
+  let strategy = Bcast.Scheduled Policy.ecef_lat_max in
   let first = Bcast.execute t strategy ~root:0 ~msg:1_000_000 in
   let second = Bcast.execute t strategy ~root:0 ~msg:1_000_000 in
   Alcotest.(check bool) "cache hit is cheaper" true

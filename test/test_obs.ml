@@ -1,6 +1,6 @@
 (* Tests for the gridb_obs observability bus: JSON round-trips, sink
-   semantics, Null-sink bit-identity of instrumented producers, the
-   record_trace compatibility path, and the stream consumers. *)
+   semantics, Null-sink bit-identity of instrumented producers, traces as a
+   view of the stream, and the stream consumers. *)
 
 module Event = Gridb_obs.Event
 module Sink = Gridb_obs.Sink
@@ -207,34 +207,9 @@ let test_reliable_observation_is_transparent =
       && plain.Exec.retransmissions = observed.Exec.retransmissions
       && plain.Exec.gave_up = observed.Exec.gave_up)
 
-(* The legacy record_trace path and an external Memory sink must describe
-   the same transmissions. *)
-let test_record_trace_compat () =
-  let grid = Topology.Grid5000.grid () in
-  let inst = Instance.of_grid ~root:0 ~msg:1_000_000 grid in
-  let machines = Machines.expand grid in
-  let plan =
-    Plan.of_cluster_schedule machines (Sched_engine.run Gridb_sched.Policy.ecef_la inst)
-  in
-  let legacy = Exec.run ~record_trace:true machines plan in
-  let mem = Sink.memory () in
-  let via_sink = Exec.run ~obs:mem machines plan in
-  Alcotest.(check int) "legacy trace populated"
-    legacy.Exec.transmissions
-    (List.length legacy.Exec.trace);
-  Alcotest.(check (list (pair int int)))
-    "same transmissions, same order"
-    (List.map (fun t -> (t.Gridb_des.Trace.src, t.Gridb_des.Trace.dst)) legacy.Exec.trace)
-    (Gridb_des.Trace.of_events (Sink.events mem)
-    |> List.rev
-    |> List.sort (fun (a : Gridb_des.Trace.transmission) b ->
-           Float.compare a.arrival b.arrival)
-    |> List.map (fun t -> (t.Gridb_des.Trace.src, t.Gridb_des.Trace.dst)));
-  Alcotest.(check bool) "no-trace run has empty trace" true (via_sink.Exec.trace = [])
-
-let test_reliable_trace_compat () =
-  (* Old and new paths of run_reliable return identical trace lists even
-     under faults (retransmissions included). *)
+(* Under loss, the reliable executor's stream carries every data
+   transmission, retransmissions included. *)
+let test_reliable_sink_sees_every_transmission () =
   let grid = random_grid 7 in
   let inst = Instance.of_grid ~root:0 ~msg:1_000_000 grid in
   let machines = Machines.expand grid in
@@ -243,20 +218,14 @@ let test_reliable_trace_compat () =
   in
   let n = Machines.count machines in
   let spec = { Faults.none with Faults.loss = 0.15 } in
-  let run_with obs =
+  let mem = Sink.memory () in
+  let r =
     Exec.run_reliable ~rng:(Rng.create 7)
       ~faults:(Faults.create ~seed:7 ~n spec)
-      ~record_trace:true ?obs machines plan
+      ~obs:mem machines plan
   in
-  let legacy = run_with None in
-  let mem = Sink.memory () in
-  let observed = run_with (Some mem) in
-  Alcotest.(check bool) "trace non-empty" true (legacy.Exec.r_trace <> []);
-  Alcotest.(check bool) "identical traces" true
-    (legacy.Exec.r_trace = observed.Exec.r_trace);
-  (* The observed stream contains exactly the transmissions of the trace. *)
-  Alcotest.(check int) "sink sees every transmission"
-    legacy.Exec.r_transmissions
+  Alcotest.(check bool) "retransmissions happened" true (r.Exec.retransmissions > 0);
+  Alcotest.(check int) "sink sees every transmission" r.Exec.r_transmissions
     (List.length (Gridb_des.Trace.of_events (Sink.events mem)))
 
 (* JSONL round-trip of a full seeded faulty reliable run. *)
@@ -269,15 +238,15 @@ let test_jsonl_faulty_run_roundtrip () =
   in
   let n = Machines.count machines in
   let spec = { Faults.none with Faults.loss = 0.1 } in
-  let run_with obs =
+  let faulty_run obs =
     Exec.run_reliable ~rng:(Rng.create 11)
       ~faults:(Faults.create ~seed:11 ~n spec)
       ~obs machines plan
   in
   let mem = Sink.memory () in
-  ignore (run_with mem);
+  ignore (faulty_run mem);
   let path = Filename.temp_file "gridb_obs_run" ".jsonl" in
-  ignore (Sink.with_jsonl path (fun js -> ignore (run_with js)));
+  ignore (Sink.with_jsonl path (fun js -> ignore (faulty_run js)));
   (match Sink.read path with
   | Ok from_file ->
       Alcotest.(check (list event)) "file stream equals memory stream"
@@ -385,7 +354,7 @@ let test_magpie_cache_and_strategy_events () =
   let tuning = Gridb_magpie.Tuning.create ~obs:mem machines in
   let strategy =
     Gridb_magpie.Bcast.Adaptive
-      [ Gridb_sched.Heuristics.ecef_la; Gridb_sched.Heuristics.flat_tree ]
+      [ Gridb_sched.Policy.ecef_la; Gridb_sched.Policy.flat_tree ]
   in
   ignore (Gridb_magpie.Bcast.execute tuning strategy ~root:0 ~msg:1_000_000);
   ignore (Gridb_magpie.Bcast.execute tuning strategy ~root:0 ~msg:1_000_000);
@@ -721,8 +690,8 @@ let () =
         ] );
       ( "compat",
         [
-          quick "record_trace equals sink view" test_record_trace_compat;
-          quick "reliable traces identical" test_reliable_trace_compat;
+          quick "reliable sink sees every transmission"
+            test_reliable_sink_sees_every_transmission;
           quick "jsonl of faulty run round-trips" test_jsonl_faulty_run_roundtrip;
         ] );
       ( "producers",

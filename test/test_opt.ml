@@ -7,7 +7,6 @@
 module Instance = Gridb_sched.Instance
 module Schedule = Gridb_sched.Schedule
 module Policy = Gridb_sched.Policy
-module Heuristics = Gridb_sched.Heuristics
 module Engine = Gridb_sched.Engine
 module Bounds = Gridb_sched.Bounds
 module Optimal = Gridb_sched.Optimal
@@ -31,16 +30,13 @@ let check_outcome name = function
 
 (* ------------------------------------------------------------------ *)
 (* Satellite 1: one shared policy name table, no drift between the    *)
-(* Policy registry, the Heuristics wrapper and the CLI/check listings *)
+(* Policy registry and the CLI/check listings                         *)
 (* ------------------------------------------------------------------ *)
 
 let test_policy_table_shared () =
-  let slist = Alcotest.(check (list string)) in
-  slist "Heuristics.names is Policy.names" Policy.names Heuristics.names;
-  slist "Policy.all renders to Policy.names" Policy.names
-    (List.map Policy.name Policy.all);
-  slist "Heuristics.all renders to the same table" Policy.names
-    (List.map (fun h -> h.Heuristics.name) Heuristics.all)
+  Alcotest.(check (list string))
+    "Policy.all renders to Policy.names" Policy.names
+    (List.map Policy.name Policy.all)
 
 let test_policy_menu_consistent () =
   (* The seeded scenario menu is the shared table plus the pinned Mixed
@@ -52,15 +48,12 @@ let test_policy_menu_consistent () =
     menu;
   List.iter
     (fun name ->
-      (match Policy.by_name name with
-      | Some _ -> ()
-      | None -> Alcotest.failf "Policy.by_name %S: no policy" name);
-      match Heuristics.by_name name with
-      | Some h ->
+      match Policy.by_name name with
+      | Some p ->
           Alcotest.(check string)
             (Printf.sprintf "by_name %S round-trips" name)
-            name h.Heuristics.name
-      | None -> Alcotest.failf "Heuristics.by_name %S: no heuristic" name)
+            name (Policy.name p)
+      | None -> Alcotest.failf "Policy.by_name %S: no policy" name)
     menu
 
 (* ------------------------------------------------------------------ *)

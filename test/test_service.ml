@@ -9,7 +9,8 @@ module Grid = Gridb_topology.Grid
 module Generators = Gridb_topology.Generators
 module Fingerprint = Gridb_topology.Fingerprint
 module Params = Gridb_plogp.Params
-module Heuristics = Gridb_sched.Heuristics
+module Policy = Gridb_sched.Policy
+module Engine = Gridb_sched.Engine
 module Instance = Gridb_sched.Instance
 module Adaptive = Gridb_des.Adaptive
 module Session = Gridb_des.Session
@@ -31,8 +32,8 @@ let grid_of_seed ?(n = 4) seed =
 let machines_of_seed ?n seed = Machines.expand (grid_of_seed ?n seed)
 
 let fresh_schedule machines ~root ~msg ~policy =
-  let h = Option.get (Heuristics.by_name policy) in
-  Heuristics.run h (Instance.of_grid ~root ~msg (Machines.grid machines))
+  let h = Option.get (Policy.by_name policy) in
+  Engine.run h (Instance.of_grid ~root ~msg (Machines.grid machines))
 
 (* --- fingerprint ------------------------------------------------------- *)
 

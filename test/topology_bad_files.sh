@@ -1,15 +1,31 @@
 #!/usr/bin/env bash
 # Runs every `gridsched` subcommand that takes --topology on a file that
-# does not exist and on a directory, and requires a typed load error:
-# exit status 1 and "cannot load" on stderr, never an uncaught exception
-# (exit 125) or a hang.
+# does not exist, on a directory, and on GRID5000 dumps carrying one bad
+# number each (NaN, negative and infinite link latency, a size-0 cluster),
+# and requires a typed load error: exit status 1 and "cannot load" on
+# stderr, never an uncaught exception (exit 125), a hang, or a run on
+# non-finite parameters.
 #   bash topology_bad_files.sh path/to/gridsched.exe
 set -u
 exe=$1
 dir=$(mktemp -d)
 trap 'rm -rf "$dir"' EXIT
 failures=0
-for path in "$dir/missing.topo" "$dir"; do
+"$exe" topology grid5000 >"$dir/grid5000.topo" || exit 1
+bad() {
+  sed -E "$2" "$dir/grid5000.topo" >"$dir/$1.topo"
+  if cmp -s "$dir/grid5000.topo" "$dir/$1.topo"; then
+    echo "$1: the edit did not apply" >&2
+    exit 1
+  fi
+}
+bad nan-latency 's/^(link 0 1 L )[^ ]+/\1nan/'
+bad negative-latency 's/^(link 0 1 L )[^ ]+/\1-5/'
+bad inf-latency 's/^(link 0 1 L )[^ ]+/\1inf/'
+bad zero-size-cluster 's/^(cluster 0 [^ ]+ )[0-9]+/\10/'
+for path in "$dir/missing.topo" "$dir" "$dir/nan-latency.topo" \
+  "$dir/negative-latency.topo" "$dir/inf-latency.topo" \
+  "$dir/zero-size-cluster.topo"; do
   for sub in schedule compare cluster optimal measure simulate profile serve; do
     err=$(timeout 20 "$exe" "$sub" --topology "$path" 2>&1 >/dev/null)
     status=$?
@@ -20,6 +36,6 @@ for path in "$dir/missing.topo" "$dir"; do
   done
 done
 if [ "$failures" -ne 0 ]; then
-  echo "$failures unreadable topology files were not reported as load errors" >&2
+  echo "$failures unreadable or invalid topology files were not reported as load errors" >&2
   exit 1
 fi
