@@ -111,16 +111,16 @@ let () =
   let rec parse = function
     | [] -> ()
     | "--duration" :: v :: rest ->
-        duration := float_of_string v;
+        duration := Bench_flag.positive_float "--duration" v;
         parse rest
     | ("-o" | "--output") :: v :: rest ->
         out := v;
         parse rest
     | "--seed" :: v :: rest ->
-        seed := int_of_string v;
+        seed := Bench_flag.int "--seed" v;
         parse rest
     | ("-j" | "--jobs") :: v :: rest ->
-        jobs := int_of_string v;
+        jobs := Bench_flag.int ~min:1 "--jobs" v;
         parse rest
     | "--assert-delivery" :: rest ->
         assert_delivery := true;

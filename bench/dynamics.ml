@@ -181,19 +181,19 @@ let () =
   let rec parse = function
     | [] -> ()
     | "--reps" :: v :: rest ->
-        reps := int_of_string v;
+        reps := Bench_flag.int ~min:1 "--reps" v;
         parse rest
     | "--max-n" :: v :: rest ->
-        max_n := int_of_string v;
+        max_n := Bench_flag.int ~min:1 "--max-n" v;
         parse rest
     | ("-o" | "--output") :: v :: rest ->
         out := v;
         parse rest
     | "--seed" :: v :: rest ->
-        seed := int_of_string v;
+        seed := Bench_flag.int "--seed" v;
         parse rest
     | ("-j" | "--jobs") :: v :: rest ->
-        jobs := int_of_string v;
+        jobs := Bench_flag.int ~min:1 "--jobs" v;
         parse rest
     | "--assert-replan-wins" :: rest ->
         assert_wins := true;

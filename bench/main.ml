@@ -30,7 +30,7 @@ let parse_options () =
   let rec parse = function
     | [] -> ()
     | "-i" :: v :: rest | "--iterations" :: v :: rest ->
-        options := { !options with iterations = int_of_string v };
+        options := { !options with iterations = Bench_flag.int ~min:1 "--iterations" v };
         parse rest
     | "--full" :: rest ->
         options := { !options with iterations = 10_000 };

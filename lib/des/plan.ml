@@ -1,8 +1,23 @@
 module Machines = Gridb_topology.Machines
 module Tree = Gridb_collectives.Tree
 module Schedule = Gridb_sched.Schedule
+module Params = Gridb_plogp.Params
 
-type t = { root : int; children : int list array }
+type program = {
+  machines : Machines.t;
+  msg : int;
+  parent : int array;
+  first_child : int array;
+  child : int array;
+  gap : float array;
+  latency : float array;
+  latency_back : float array;
+  round_trip : float array;
+}
+
+type t = { root : int; children : int list array; compiled : program option Atomic.t }
+
+let make ~root ~children = { root; children; compiled = Atomic.make None }
 
 let validate ~root ~children =
   let n = Array.length children in
@@ -33,7 +48,7 @@ let validate ~root ~children =
 
 let v ~root ~children =
   validate ~root ~children;
-  { root; children = Array.copy children }
+  make ~root ~children:(Array.copy children)
 
 let of_cluster_schedule ?(shape = Tree.Binomial) machines schedule =
   let grid = Machines.grid machines in
@@ -70,7 +85,7 @@ let of_cluster_schedule ?(shape = Tree.Binomial) machines schedule =
   done;
   let root = Machines.coordinator machines schedule.Schedule.root in
   validate ~root ~children;
-  { root; children }
+  make ~root ~children
 
 let of_flat_schedule machines schedule =
   let n = Machines.count machines in
@@ -82,7 +97,7 @@ let of_flat_schedule machines schedule =
     schedule.Schedule.events;
   let root = schedule.Schedule.root in
   validate ~root ~children;
-  { root; children }
+  make ~root ~children
 
 let of_rank_tree machines ~root tree =
   let n = Machines.count machines in
@@ -96,7 +111,7 @@ let of_rank_tree machines ~root tree =
   in
   lay tree;
   validate ~root ~children;
-  { root; children }
+  make ~root ~children
 
 let binomial_ranks machines ~root =
   of_rank_tree machines ~root (Tree.binomial (Machines.count machines))
@@ -114,3 +129,43 @@ let parent_array t =
   let parents = Array.make (size t) t.root in
   Array.iteri (fun r kids -> List.iter (fun k -> parents.(k) <- r) kids) t.children;
   parents
+
+(* Every per-edge figure is the arithmetic the sessions used to redo per
+   send, in the same association, so replaying the table is bit-identical
+   to re-deriving it. *)
+let compile t machines ~msg =
+  let n = size t in
+  if Machines.count machines <> n then invalid_arg "Plan.program: plan size mismatch";
+  let parent = Array.make n (-1) in
+  let first_child = Array.make (n + 1) 0 in
+  let child = Array.make (max 0 (n - 1)) 0 in
+  let gap = Array.make n nan in
+  let latency = Array.make n nan in
+  let latency_back = Array.make n nan in
+  let round_trip = Array.make n nan in
+  let next = ref 0 in
+  for r = 0 to n - 1 do
+    first_child.(r) <- !next;
+    List.iter
+      (fun k ->
+        child.(!next) <- k;
+        incr next;
+        parent.(k) <- r;
+        let p = Machines.link_params machines r k in
+        let pb = Machines.link_params machines k r in
+        gap.(k) <- Params.gap p msg;
+        latency.(k) <- Params.latency p;
+        latency_back.(k) <- Params.latency pb;
+        round_trip.(k) <- gap.(k) +. latency.(k) +. latency_back.(k))
+      t.children.(r)
+  done;
+  first_child.(n) <- !next;
+  { machines; msg; parent; first_child; child; gap; latency; latency_back; round_trip }
+
+let program t machines ~msg =
+  match Atomic.get t.compiled with
+  | Some p when p.machines == machines && p.msg = msg -> p
+  | _ ->
+      let p = compile t machines ~msg in
+      Atomic.set t.compiled (Some p);
+      p

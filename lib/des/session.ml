@@ -103,6 +103,12 @@ module Config = struct
     | _ -> ()
 end
 
+(* [Noise.apply Exact] multiplies by exactly 1., which is the identity on
+   every float: under [Exact] the sessions skip the call. *)
+let is_exact = function
+  | Noise.Exact -> true
+  | Noise.Lognormal _ | Noise.Uniform _ -> false
+
 let intra machines src dst =
   (Machines.machine machines src).Machines.cluster
   = (Machines.machine machines dst).Machines.cluster
@@ -130,41 +136,43 @@ let launch ?sid ?(who = "Session.launch") ~wire ~engine (config : Config.t)
   if Wire.size wire < n then invalid_arg (who ^ ": wire smaller than machine view");
   let { Config.noise; rng; start_delay; msg; obs; _ } = config in
   let rng = match rng with Some r -> r | None -> Gridb_util.Rng.create 0 in
+  let prog = Plan.program plan machines ~msg in
+  let exact = is_exact noise in
   let arrival = Array.make n nan in
   let transmissions = ref 0 in
   let tracing, emit = emitter ~sid ~obs in
-  (* On delivery, a rank enqueues its forwarding list: each send seizes the
-     NIC for one (noisy) gap; the child receives a (noisy) latency after the
-     send starts injecting. *)
+  (* On delivery, a rank walks its forwarding list in the send program:
+     each send seizes the NIC for one (noisy) gap; the child receives a
+     (noisy) latency after the send starts injecting. *)
   let rec deliver ~src rank engine =
     let time = Engine.now engine in
     arrival.(rank) <- time;
     Wire.touch wire rank ~now:time;
     if tracing then emit (Event.Arrival { src; dst = rank; time });
-    List.iter
-      (fun child ->
-        let p = Machines.link_params machines rank child in
-        let g = Noise.apply noise rng (Params.gap p msg) in
-        let l = Noise.apply noise rng (Params.latency p) in
-        let start = Wire.seize wire rank ~gap:g in
-        incr transmissions;
-        if tracing then begin
-          emit
-            (Event.Send_start
-               {
-                 src = rank;
-                 dst = child;
-                 time = start;
-                 msg;
-                 intra = intra machines rank child;
-                 try_no = 0;
-               });
-          emit
-            (Event.Send_end
-               { src = rank; dst = child; time = start +. g; arrival = start +. g +. l })
-        end;
-        Engine.schedule engine ~time:(start +. g +. l) (deliver ~src:rank child))
-      plan.Plan.children.(rank)
+    for i = prog.Plan.first_child.(rank) to prog.Plan.first_child.(rank + 1) - 1 do
+      let child = prog.Plan.child.(i) in
+      let g = prog.Plan.gap.(child) and l = prog.Plan.latency.(child) in
+      let g = if exact then g else Noise.apply noise rng g in
+      let l = if exact then l else Noise.apply noise rng l in
+      let start = Wire.seize wire rank ~gap:g in
+      incr transmissions;
+      if tracing then begin
+        emit
+          (Event.Send_start
+             {
+               src = rank;
+               dst = child;
+               time = start;
+               msg;
+               intra = intra machines rank child;
+               try_no = 0;
+             });
+        emit
+          (Event.Send_end
+             { src = rank; dst = child; time = start +. g; arrival = start +. g +. l })
+      end;
+      Engine.schedule engine ~time:(start +. g +. l) (deliver ~src:rank child)
+    done
   in
   Engine.schedule engine ~time:start_delay (deliver ~src:plan.Plan.root plan.Plan.root);
   { s_arrival = arrival; s_transmissions = transmissions }
@@ -184,7 +192,7 @@ type reliable_t = {
   r_reroute_log : (int * int * int) list ref;
   r_circuit_opens : int ref;
   r_est : Adaptive.t option;
-  r_faults : Faults.t;
+  r_faults : Faults.t option;
   r_dynamics : Dynamics.t option;
   r_joins : Dynamics.join array;
   r_engine : Engine.t;
@@ -239,7 +247,6 @@ let launch_reliable ?sid ?(who = "Session.launch_reliable") ~wire ~engine
     config
   in
   let n = Machines.count machines in
-  let faults = match faults with Some f -> f | None -> Faults.create ~n Faults.none in
   (* Joins extend the rank space above the planning-time population: every
      per-rank array is sized [ntot], and ranks >= n exist from time 0 as
      far as the arrays are concerned but only become reachable once their
@@ -263,10 +270,18 @@ let launch_reliable ?sid ?(who = "Session.launch_reliable") ~wire ~engine
       if cs = cd then (Gridb_topology.Grid.cluster grid cs).Gridb_topology.Cluster.intra
       else Gridb_topology.Grid.link grid cs cd
   in
+  (* Plan edges read their pLogP costs off the send program; only
+     reroutes and join ranks go through [params_for]. *)
+  let prog = Plan.program plan machines ~msg in
+  let on_plan src dst = dst < n && prog.Plan.parent.(dst) = src in
+  let exact = is_exact noise in
   (* A rank halts at its fault-model crash or its dynamics departure,
-     whichever comes first; join ranks never halt. *)
+     whichever comes first; join ranks never halt.  Without a fault model
+     every fault query below is its identity, so none is made. *)
   let halt r =
-    let crash = if r < n then Faults.crash_time faults r else infinity in
+    let crash =
+      match faults with Some f when r < n -> Faults.crash_time f r | _ -> infinity
+    in
     match dynamics with
     | None -> crash
     | Some d -> Float.min crash (Dynamics.leave_time d r)
@@ -276,13 +291,21 @@ let launch_reliable ?sid ?(who = "Session.launch_reliable") ~wire ~engine
      {!Dynamics.factor} is exactly 1. on them too). *)
   let fresh_link src dst = src >= n || dst >= n in
   let lose_on src dst =
-    (not (fresh_link src dst)) && Faults.lose faults ~src ~dst
+    match faults with
+    | None -> false
+    | Some f -> (not (fresh_link src dst)) && Faults.lose f ~src ~dst
   in
   let link_up src dst ~at =
-    fresh_link src dst || Faults.link_up faults ~src ~dst ~at
+    match faults with
+    | None -> true
+    | Some f -> fresh_link src dst || Faults.link_up f ~src ~dst ~at
   in
   let slowdown src dst ~at =
-    let f = if fresh_link src dst then 1. else Faults.slowdown faults ~src ~dst ~at in
+    let f =
+      match faults with
+      | Some f when not (fresh_link src dst) -> Faults.slowdown f ~src ~dst ~at
+      | _ -> 1.
+    in
     match dynamics with None -> f | Some d -> f *. Dynamics.factor d ~src ~dst ~at
   in
   let rng = match rng with Some r -> r | None -> Gridb_util.Rng.create 0 in
@@ -326,9 +349,11 @@ let launch_reliable ?sid ?(who = "Session.launch_reliable") ~wire ~engine
      inflates it by rto_mult and floors it at rto_min; the estimator's
      nominal (the quality denominator SRTT converges to) must stay raw. *)
   let model_round_trip src dst =
-    let p = params_for src dst in
-    let pb = params_for dst src in
-    Params.gap p msg +. Params.latency p +. Params.latency pb
+    if on_plan src dst then prog.Plan.round_trip.(dst)
+    else
+      let p = params_for src dst in
+      let pb = params_for dst src in
+      Params.gap p msg +. Params.latency p +. Params.latency pb
   in
   let model_rto src dst = Float.max rto_min (rto_mult *. model_round_trip src dst) in
   let initial_rto src dst =
@@ -417,10 +442,15 @@ let launch_reliable ?sid ?(who = "Session.launch_reliable") ~wire ~engine
       cur_parent.(dst) <- src;
       cur_try.(dst) <- try_no;
       last_start.(dst) <- start;
-      let p = params_for src dst in
+      let g, l =
+        if on_plan src dst then (prog.Plan.gap.(dst), prog.Plan.latency.(dst))
+        else
+          let p = params_for src dst in
+          (Params.gap p msg, Params.latency p)
+      in
       let d = slowdown src dst ~at:start in
-      let g = Noise.apply noise rng (Params.gap p msg) *. d in
-      let l = Noise.apply noise rng (Params.latency p) *. d in
+      let g = (if exact then g else Noise.apply noise rng g) *. d in
+      let l = (if exact then l else Noise.apply noise rng l) *. d in
       Wire.occupy wire src ~start ~gap:g;
       incr transmissions;
       if try_no > 0 then incr retransmissions;
@@ -464,8 +494,13 @@ let launch_reliable ?sid ?(who = "Session.launch_reliable") ~wire ~engine
        reverse link is) but does not seize the receiver's NIC, so the ACK
        never perturbs data timing.  Duplicated deliveries are re-ACKed so a
        sender that lost an ACK eventually stops retransmitting. *)
-    let pb = params_for dst src in
-    let l_back = Noise.apply noise rng (Params.latency pb) *. slowdown dst src ~at:now in
+    let l_back =
+      if on_plan src dst then prog.Plan.latency_back.(dst)
+      else Params.latency (params_for dst src)
+    in
+    let l_back =
+      (if exact then l_back else Noise.apply noise rng l_back) *. slowdown dst src ~at:now
+    in
     let ack_at = now +. l_back in
     let ack_lost =
       lose_on dst src || (not (link_up dst src ~at:now)) || halt src <= ack_at
@@ -567,9 +602,9 @@ let launch_reliable ?sid ?(who = "Session.launch_reliable") ~wire ~engine
          them onto the delivered set too.  (Join ranks have no planned
          subtree: the plan predates them.) *)
       if dst < n then
-        List.iter
-          (fun gc -> orphaned ~old_parent:dst ~dst:gc engine)
-          plan.Plan.children.(dst)
+        for i = prog.Plan.first_child.(dst) to prog.Plan.first_child.(dst + 1) - 1 do
+          orphaned ~old_parent:dst ~dst:prog.Plan.child.(i) engine
+        done
     end
     else
       match pick_parent ~dst ~now with
@@ -599,10 +634,10 @@ let launch_reliable ?sid ?(who = "Session.launch_reliable") ~wire ~engine
   and forward rank engine =
     (* A delivered join rank forwards nothing: the plan predates it. *)
     if rank < n then
-      List.iter
-        (fun child ->
-          attempt ~src:rank ~dst:child ~try_no:0 ~rto:(initial_rto rank child) engine)
-        plan.Plan.children.(rank)
+      for i = prog.Plan.first_child.(rank) to prog.Plan.first_child.(rank + 1) - 1 do
+        let child = prog.Plan.child.(i) in
+        attempt ~src:rank ~dst:child ~try_no:0 ~rto:(initial_rto rank child) engine
+      done
   in
   Engine.schedule engine ~time:start_delay (fun engine ->
       let now = Engine.now engine in
@@ -640,7 +675,10 @@ let reliable_result (s : reliable_t) =
   let horizon = Engine.now s.r_engine in
   let n = s.r_n in
   let crashed =
-    List.filter (fun r -> Faults.crash_time s.r_faults r <= horizon) (List.init n Fun.id)
+    match s.r_faults with
+    | None -> []
+    | Some f ->
+        List.filter (fun r -> Faults.crash_time f r <= horizon) (List.init n Fun.id)
   in
   let left =
     match s.r_dynamics with

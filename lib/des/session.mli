@@ -20,7 +20,19 @@
     sessions emit byte-identical streams to the historical executors.  A
     transmission trace is a view of that stream: launch with
     [obs = Gridb_obs.Sink.memory ()] and read it back with
-    {!Trace.of_events}. *)
+    {!Trace.of_events}.
+
+    Send programs: both launches read every plan edge's gap, latency,
+    reverse (ACK) latency and model round trip from the plan's
+    {!Plan.program} for the machine view and [config.msg], compiled on
+    the first launch and memoised on the plan, so sessions sharing a
+    [Plan.t] (every request of one plan-cache key) pay for it once.  Only
+    off-plan edges (reroutes, dynamics join ranks) derive their pLogP
+    costs per send.  Under [Noise.Exact] no noise call is made (its factor
+    is exactly 1.), and with [config.faults = None] no fault-model query
+    is made (each would be an identity).  None of this changes the
+    arithmetic or the rng draw order: a replay is bit-identical to
+    deriving every cost per send. *)
 
 type transport = Fixed | Adaptive of { config : Adaptive.config; reroute : bool }
 (** See {!Exec.transport} (the public alias). *)
@@ -65,7 +77,8 @@ module Config : sig
     start_delay : float;  (** simulated time of the session's first event *)
     msg : int;  (** message size, bytes *)
     obs : Gridb_obs.Sink.t;  (** observability sink *)
-    faults : Faults.t option;  (** fault model; [None] = no faults *)
+    faults : Faults.t option;
+        (** fault model; [None] = no faults, and no fault query at all *)
     dynamics : Dynamics.t option;  (** time-varying topology model *)
     on_tick : now:float -> Adaptive.t option -> unit;
         (** pure observation hook, see {!Exec.run_reliable} *)

@@ -153,7 +153,14 @@ let run ?(jobs = 1) ?transport ?admission ?cache ?(obs = Sink.null) ?(seed = 0)
       if i > 0 && r.Workload.at < requests.(i - 1).Workload.at then
         invalid_arg "Server.run: requests not in arrival order")
     requests;
-  let known (r : Workload.request) = Policy.by_name r.Workload.policy <> None in
+  (* Each request's cache key, resolved once for both passes below; [None]
+     for a request naming an unknown policy. *)
+  let keys =
+    Array.map
+      (fun (r : Workload.request) ->
+        if Policy.by_name r.Workload.policy = None then None else Some (key_of r))
+      requests
+  in
   let chaotic =
     faults <> None || dynamics <> None || retry.budget > 0
     || Admission.shedding admission
@@ -173,15 +180,12 @@ let run ?(jobs = 1) ?transport ?admission ?cache ?(obs = Sink.null) ?(seed = 0)
   let seen = Hashtbl.create 64 in
   let unique = ref [] in
   Array.iter
-    (fun r ->
-      if known r then begin
-        let k = key_of r in
-        if not (Hashtbl.mem seen k) then begin
+    (function
+      | Some k when not (Hashtbl.mem seen k) ->
           Hashtbl.add seen k ();
           unique := k :: !unique
-        end
-      end)
-    requests;
+      | _ -> ())
+    keys;
   let unique = Array.of_list (List.rev !unique) in
   let planned =
     Pool.mapi ~jobs
@@ -265,51 +269,55 @@ let run ?(jobs = 1) ?transport ?admission ?cache ?(obs = Sink.null) ?(seed = 0)
   let shed_by = Array.make nreq 0 in
   let emit ev = if Sink.enabled obs then Sink.emit obs ev in
   let partial =
-    Array.map
-      (fun (r : Workload.request) ->
-        if not (known r) then
-          (r, `Unplanned, 0., 0., Admission.Reject (Admission.Bad_policy r.Workload.policy), None)
-        else begin
-          let k = key_of r in
-          let schedule, predicted, compute_us, plan = Hashtbl.find plan_tbl k in
-          let l0 = Unix.gettimeofday () in
-          let _, kind = Plan_cache.lookup cache k ~compute:(fun () -> schedule) in
-          let lookup_us = (Unix.gettimeofday () -. l0) *. 1e6 in
-          let plan_us = match kind with `Hit -> lookup_us | _ -> compute_us +. lookup_us in
-          (* Wave-0 decisions carry no circuit-health signal: nothing has
-             executed yet.  The open-circuit fraction gates requeues. *)
-          let decision =
-            Admission.decide ~priority:r.Workload.priority admission ~now:r.Workload.at
-              ~predicted_makespan:predicted
-          in
-          let session =
-            match decision with
-            | Admission.Reject reason ->
-                if Admission.is_shed reason then begin
-                  incr sheds;
-                  shed_by.(r.Workload.rid) <- 1;
-                  emit
-                    (Event.Shed
-                       {
-                         rid = r.Workload.rid;
-                         priority = Workload.priority_to_string r.Workload.priority;
-                         reason = Admission.reason_string reason;
-                         time = r.Workload.at;
-                       })
-                end;
-                None
-            | Admission.Admit ->
-                Some (launch r ~attempt:0 ~start_delay:r.Workload.at (Lazy.force plan))
-          in
-          ((r, (kind :> [ `Hit | `Miss | `Invalidated | `Unplanned ]), plan_us, predicted,
-            decision, session)
-            : Workload.request
-              * [ `Hit | `Miss | `Invalidated | `Unplanned ]
-              * float
-              * float
-              * Admission.decision
-              * Session.reliable_t option)
-        end)
+    Array.mapi
+      (fun i (r : Workload.request) ->
+        match keys.(i) with
+        | None ->
+            ( r,
+              `Unplanned,
+              0.,
+              0.,
+              Admission.Reject (Admission.Bad_policy r.Workload.policy),
+              None )
+        | Some k ->
+            let schedule, predicted, compute_us, plan = Hashtbl.find plan_tbl k in
+            let l0 = Unix.gettimeofday () in
+            let _, kind = Plan_cache.lookup cache k ~compute:(fun () -> schedule) in
+            let lookup_us = (Unix.gettimeofday () -. l0) *. 1e6 in
+            let plan_us = match kind with `Hit -> lookup_us | _ -> compute_us +. lookup_us in
+            (* Wave-0 decisions carry no circuit-health signal: nothing has
+               executed yet.  The open-circuit fraction gates requeues. *)
+            let decision =
+              Admission.decide ~priority:r.Workload.priority admission ~now:r.Workload.at
+                ~predicted_makespan:predicted
+            in
+            let session =
+              match decision with
+              | Admission.Reject reason ->
+                  if Admission.is_shed reason then begin
+                    incr sheds;
+                    shed_by.(r.Workload.rid) <- 1;
+                    emit
+                      (Event.Shed
+                         {
+                           rid = r.Workload.rid;
+                           priority = Workload.priority_to_string r.Workload.priority;
+                           reason = Admission.reason_string reason;
+                           time = r.Workload.at;
+                         })
+                  end;
+                  None
+              | Admission.Admit ->
+                  Some (launch r ~attempt:0 ~start_delay:r.Workload.at (Lazy.force plan))
+            in
+            ((r, (kind :> [ `Hit | `Miss | `Invalidated | `Unplanned ]), plan_us, predicted,
+              decision, session)
+              : Workload.request
+                * [ `Hit | `Miss | `Invalidated | `Unplanned ]
+                * float
+                * float
+                * Admission.decision
+                * Session.reliable_t option))
       requests
   in
   let plan_wall_s = Unix.gettimeofday () -. t0 in

@@ -17,6 +17,10 @@ module Policy = Gridb_sched.Policy
 module Sched_engine = Gridb_sched.Engine
 module Params = Gridb_plogp.Params
 module Rng = Gridb_util.Rng
+module Faults = Gridb_des.Faults
+module Sink = Gridb_obs.Sink
+module Grid = Gridb_topology.Grid
+module Cluster = Gridb_topology.Cluster
 
 let feq ?(eps = 1e-9) a b =
   let scale = Float.max 1. (Float.max (Float.abs a) (Float.abs b)) in
@@ -756,6 +760,153 @@ let test_trace_total_bytes () =
   let _, trace = traced ~msg:1_000 m plan in
   Alcotest.(check int) "87 KB moved" 87_000 (Gridb_des.Trace.total_bytes trace)
 
+(* --- Send programs ---------------------------------------------------- *)
+
+(* GRID5000 with every link's gap and latency scaled by [f]: the same rank
+   space, so one plan runs on both views. *)
+let scaled_machines f =
+  let g = Grid5000.grid () in
+  let k = Grid.size g in
+  let clusters =
+    Array.to_list
+      (Array.map
+         (fun (c : Cluster.t) ->
+           Cluster.v ~id:c.Cluster.id ~name:c.Cluster.name ~size:c.Cluster.size
+             ~intra:(Params.scale_noise ~factor:f c.Cluster.intra))
+         (Grid.clusters g))
+  in
+  let inter =
+    Array.init k (fun i ->
+        Array.init k (fun j ->
+            let p = if i = j then (Grid.cluster g i).Cluster.intra else Grid.link g i j in
+            Params.scale_noise ~factor:f p))
+  in
+  Machines.expand (Grid.v ~clusters ~inter)
+
+let ecef_plan m =
+  let inst = Instance.of_grid ~root:0 ~msg:1_000_000 (Machines.grid m) in
+  Plan.of_cluster_schedule m (Sched_engine.run Policy.ecef_la inst)
+
+let bits a = Array.map Int64.bits_of_float a
+
+(* Everything a reliable run reports except the estimator, plus the events
+   its Memory sink saw. *)
+let reliable_view (r : Exec.reliable) events =
+  ( ( bits r.Exec.r_arrival,
+      Int64.bits_of_float r.Exec.r_makespan,
+      r.Exec.r_transmissions,
+      r.Exec.retransmissions,
+      r.Exec.acks,
+      r.Exec.delivered ),
+    (r.Exec.gave_up, r.Exec.crashed, Int64.bits_of_float r.Exec.horizon, r.Exec.reroutes,
+     r.Exec.circuit_opens),
+    events )
+
+let run_both ?faults ?(transport = Exec.Fixed) ~noise ~seed ~msg m plan =
+  let obs = Sink.memory () in
+  let r = Exec.run ~noise ~rng:(Rng.create seed) ~msg ~obs m plan in
+  let best = (bits r.Exec.arrival, r.Exec.transmissions, Sink.events obs) in
+  let obs = Sink.memory () in
+  let rr =
+    Exec.run_reliable ~noise ~rng:(Rng.create seed) ~msg ~obs ?faults ~transport m plan
+  in
+  (best, reliable_view rr (Sink.events obs))
+
+let test_program_memo_matches_fresh_plans () =
+  let m1 = machines () and m2 = scaled_machines 1.5 in
+  let shared = ecef_plan m1 in
+  let faults m = Faults.create ~seed:3 ~n:(Machines.count m) (Faults.v ~loss:0.1 ()) in
+  List.iteri
+    (fun i (m, msg) ->
+      List.iter
+        (fun noise ->
+          let case = Printf.sprintf "step %d, %s" i (Noise.to_string noise) in
+          let once plan = run_both ~faults:(faults m) ~noise ~seed:i ~msg m plan in
+          Alcotest.(check bool) (case ^ ": shared plan = fresh plan") true
+            (compare (once shared) (once (ecef_plan m1)) = 0))
+        [ Noise.Exact; Noise.Lognormal 0.1 ])
+    [ (m1, 1_000_000); (m1, 65_536); (m2, 1_000_000); (m1, 1_000_000); (m2, 65_536);
+      (m2, 1_000_000) ];
+  (* The slot hits on the same (physical) view and size, and recompiles on
+     any other. *)
+  let p = Plan.program shared m1 ~msg:1_000 in
+  Alcotest.(check bool) "same key hits" true (Plan.program shared m1 ~msg:1_000 == p);
+  Alcotest.(check bool) "other size recompiles" false
+    (Plan.program shared m1 ~msg:2_000 == p);
+  Alcotest.(check bool) "other view recompiles" false
+    (Plan.program shared (machines ()) ~msg:2_000 == p)
+
+let test_program_entries () =
+  let m = machines () and msg = 65_536 in
+  let plan = ecef_plan m in
+  let p = Plan.program plan m ~msg in
+  let parents = Plan.parent_array plan in
+  Array.iteri
+    (fun k kids ->
+      let csr =
+        List.init
+          (p.Plan.first_child.(k + 1) - p.Plan.first_child.(k))
+          (fun i -> p.Plan.child.(p.Plan.first_child.(k) + i))
+      in
+      Alcotest.(check (list int)) "children in forwarding order" kids csr;
+      if k = plan.Plan.root then
+        Alcotest.(check int) "root has no parent" (-1) p.Plan.parent.(k)
+      else begin
+        let r = parents.(k) in
+        Alcotest.(check int) "parent" r p.Plan.parent.(k);
+        let l = Machines.link_params m r k and lb = Machines.link_params m k r in
+        let same name a b =
+          Alcotest.(check int64) name (Int64.bits_of_float a) (Int64.bits_of_float b)
+        in
+        same "gap" (Params.gap l msg) p.Plan.gap.(k);
+        same "latency" (Params.latency l) p.Plan.latency.(k);
+        same "reverse latency" (Params.latency lb) p.Plan.latency_back.(k);
+        same "round trip"
+          (Params.gap l msg +. Params.latency l +. Params.latency lb)
+          p.Plan.round_trip.(k)
+      end)
+    plan.Plan.children;
+  let link = Params.linear ~latency:1. ~g0:1. ~bandwidth_mb_s:1. in
+  let small =
+    Machines.expand (Generators.homogeneous ~n:1 ~cluster_size:3 ~inter:link ~intra:link)
+  in
+  Alcotest.check_raises "view size mismatch"
+    (Invalid_argument "Plan.program: plan size mismatch") (fun () ->
+      ignore (Plan.program plan small ~msg))
+
+let test_program_shared_across_domains () =
+  let m = machines () in
+  let plan = ecef_plan m in
+  let summary jobs =
+    Exec.mean_reliable ~noise:(Noise.Lognormal 0.08) ~repetitions:8 ~jobs ~seed:11
+      ~spec:(Faults.v ~loss:0.05 ()) m plan
+  in
+  let parallel = summary 4 in
+  Alcotest.(check bool) "jobs 4 = jobs 1" true (compare parallel (summary 1) = 0)
+
+let test_no_fault_model_equals_empty_model () =
+  let m = machines () in
+  let plan = ecef_plan m in
+  let none = Faults.create ~n:(Machines.count m) Faults.none in
+  List.iter
+    (fun transport ->
+      List.iter
+        (fun msg ->
+          let run faults =
+            let obs = Sink.memory () in
+            let r =
+              Exec.run_reliable ~noise:(Noise.Lognormal 0.1) ~rng:(Rng.create 7) ~msg ~obs
+                ?faults ~transport m plan
+            in
+            reliable_view r (Sink.events obs)
+          in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s at %d B" (Exec.transport_to_string transport) msg)
+            true
+            (compare (run None) (run (Some none)) = 0))
+        [ 65_536; 1_000_000 ])
+    [ Exec.Fixed; Exec.adaptive (); Exec.adaptive ~reroute:true () ]
+
 (* --- Overhead ------------------------------------------------------------ *)
 
 let test_overhead_shapes () =
@@ -854,6 +1005,13 @@ let () =
           quick "flat root busiest" test_trace_flat_root_busiest;
           quick "critical path" test_trace_critical_path;
           quick "total bytes" test_trace_total_bytes;
+        ] );
+      ( "send program",
+        [
+          quick "memo matches fresh plans" test_program_memo_matches_fresh_plans;
+          quick "entries" test_program_entries;
+          quick "shared across domains" test_program_shared_across_domains;
+          quick "no fault model = empty model" test_no_fault_model_equals_empty_model;
         ] );
       ("overhead", [ quick "shapes" test_overhead_shapes ]);
     ]
