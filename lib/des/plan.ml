@@ -138,7 +138,7 @@ let compile t machines ~msg =
   if Machines.count machines <> n then invalid_arg "Plan.program: plan size mismatch";
   let parent = Array.make n (-1) in
   let first_child = Array.make (n + 1) 0 in
-  let child = Array.make (max 0 (n - 1)) 0 in
+  let child = Array.make (n - 1) 0 in
   let gap = Array.make n nan in
   let latency = Array.make n nan in
   let latency_back = Array.make n nan in
