@@ -1006,7 +1006,7 @@ let () =
           quick "critical path" test_trace_critical_path;
           quick "total bytes" test_trace_total_bytes;
         ] );
-      ( "send program",
+      ( "program",
         [
           quick "memo matches fresh plans" test_program_memo_matches_fresh_plans;
           quick "entries" test_program_entries;
