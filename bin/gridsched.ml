@@ -376,40 +376,43 @@ let optimal_cmd =
             Gridb_opt.Exact.default_max_clusters inst.Instance.n;
           1
         end
-        else begin
-          let cert = Gridb_opt.Exact.solve inst in
-          Format.printf "%a@." Schedule.pp cert.Gridb_opt.Exact.schedule;
-          let st = cert.Gridb_opt.Exact.stats in
-          Format.printf
-            "certified optimal makespan: %a  (incumbent %s; %d expanded, %d \
-             bound-pruned, %d dominance-pruned)@."
-            Gridb_util.Units.pp_time cert.Gridb_opt.Exact.makespan
-            cert.Gridb_opt.Exact.incumbent st.Gridb_opt.Exact.expanded
-            st.Gridb_opt.Exact.pruned_bound st.Gridb_opt.Exact.pruned_dominated;
-          (match Gridb_opt.Traff.homogeneous inst with
-          | None -> ()
-          | Some params ->
+        else
+          match Gridb_opt.Exact.solve inst with
+          | exception Invalid_argument e ->
+              prerr_endline e;
+              1
+          | cert ->
+              Format.printf "%a@." Schedule.pp cert.Gridb_opt.Exact.schedule;
+              let st = cert.Gridb_opt.Exact.stats in
               Format.printf
-                "homogeneous instance: Traff closed form agrees at %a@."
-                Gridb_util.Units.pp_time
-                (Gridb_opt.Traff.makespan params));
-          let table =
-            Gridb_util.Text_table.create [ "heuristic"; "makespan (s)"; "vs optimal" ]
-          in
-          let opt = cert.Gridb_opt.Exact.makespan in
-          List.iter
-            (fun p ->
-              let m = Engine.makespan p inst in
-              Gridb_util.Text_table.add_row table
-                [
-                  Policy.name p;
-                  Printf.sprintf "%.4f" (m /. 1e6);
-                  Printf.sprintf "%+.2f%%" (100. *. ((m /. opt) -. 1.));
-                ])
-            Policy.all;
-          Gridb_util.Text_table.print table;
-          0
-        end
+                "certified optimal makespan: %a  (incumbent %s; %d expanded, %d \
+                 bound-pruned, %d dominance-pruned)@."
+                Gridb_util.Units.pp_time cert.Gridb_opt.Exact.makespan
+                cert.Gridb_opt.Exact.incumbent st.Gridb_opt.Exact.expanded
+                st.Gridb_opt.Exact.pruned_bound st.Gridb_opt.Exact.pruned_dominated;
+              (match Gridb_opt.Traff.homogeneous inst with
+              | None -> ()
+              | Some params ->
+                  Format.printf
+                    "homogeneous instance: Traff closed form agrees at %a@."
+                    Gridb_util.Units.pp_time
+                    (Gridb_opt.Traff.makespan params));
+              let table =
+                Gridb_util.Text_table.create [ "heuristic"; "makespan (s)"; "vs optimal" ]
+              in
+              let opt = cert.Gridb_opt.Exact.makespan in
+              List.iter
+                (fun p ->
+                  let m = Engine.makespan p inst in
+                  Gridb_util.Text_table.add_row table
+                    [
+                      Policy.name p;
+                      Printf.sprintf "%.4f" (m /. 1e6);
+                      Printf.sprintf "%+.2f%%" (100. *. ((m /. opt) -. 1.));
+                    ])
+                Policy.all;
+              Gridb_util.Text_table.print table;
+              0
   in
   Cmd.v
     (Cmd.info "optimal"

@@ -36,6 +36,6 @@ let () =
     Sched.Policy.all;
 
   (* 6. For small grids the true optimum is computable: 6 clusters is well
-        inside the brute-force ceiling. *)
-  Format.printf "@.optimal (brute force): %a@." Gridb_util.Units.pp_time
-    (Sched.Optimal.makespan inst)
+        inside the exact solver's ceiling. *)
+  Format.printf "@.optimal (certified): %a@." Gridb_util.Units.pp_time
+    (Gridb_opt.Exact.makespan inst)

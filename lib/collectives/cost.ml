@@ -33,10 +33,6 @@ let allgather_ring_time ~params ~size ~msg =
   if size <= 1 then 0.
   else float_of_int (size - 1) *. (Params.gap params msg +. Params.latency params)
 
-let alltoall_time ~params ~size ~msg =
-  if size <= 1 then 0.
-  else float_of_int (size - 1) *. (Params.gap params msg +. Params.latency params)
-
 let barrier_time ~params ~size =
   if size <= 1 then 0.
   else begin

@@ -1,8 +1,3 @@
-module Grid = Gridb_topology.Grid
-module Cluster = Gridb_topology.Cluster
-module Machines = Gridb_topology.Machines
-module Instance = Gridb_sched.Instance
-module Schedule = Gridb_sched.Schedule
 module Plan = Gridb_des.Plan
 module Api = Gridb_mpi.Runtime.Api
 
@@ -10,43 +5,6 @@ let segment_size ~msg ~segments =
   if segments < 1 then invalid_arg "Pipeline_bcast.segment_size: segments < 1";
   if msg < 1 then invalid_arg "Pipeline_bcast.segment_size: msg < 1";
   max 1 ((msg + segments - 1) / segments)
-
-let approx grid schedule ~msg ~segments =
-  let seg = segment_size ~msg ~segments in
-  let inst = Instance.of_grid ~root:schedule.Schedule.root ~msg:seg grid in
-  let picks = Gridb_sched.Refine.picks_of_schedule schedule in
-  let m1 =
-    match Gridb_sched.Refine.replay inst picks with
-    | Some s -> Schedule.makespan inst s
-    | None -> invalid_arg "Pipeline_bcast.approx: schedule does not fit the grid"
-  in
-  if segments = 1 then m1
-  else begin
-    (* Steady-state bottleneck: per segment, each coordinator re-pays its
-       inter-cluster gaps plus the first-level forwards of its intra tree. *)
-    let n = Grid.size grid in
-    let inter_gaps = Array.make n 0. in
-    List.iter
-      (fun e ->
-        inter_gaps.(e.Schedule.src) <-
-          inter_gaps.(e.Schedule.src) +. Grid.gap grid e.Schedule.src e.Schedule.dst seg)
-      schedule.Schedule.events;
-    let bottleneck = ref 0. in
-    for c = 0 to n - 1 do
-      let cl = Grid.cluster grid c in
-      let intra_forwards =
-        if cl.Cluster.size <= 1 then 0.
-        else begin
-          let fanout =
-            int_of_float (Float.ceil (Float.log2 (float_of_int cl.Cluster.size)))
-          in
-          float_of_int fanout *. Gridb_plogp.Params.gap cl.Cluster.intra seg
-        end
-      in
-      bottleneck := Float.max !bottleneck (inter_gaps.(c) +. intra_forwards)
-    done;
-    m1 +. (float_of_int (segments - 1) *. !bottleneck)
-  end
 
 let simulate ?noise ?seed machines plan ~msg ~segments =
   let seg = segment_size ~msg ~segments in
@@ -62,16 +20,3 @@ let simulate ?noise ?seed machines plan ~msg ~segments =
         done)
   in
   result.Gridb_mpi.Runtime.makespan
-
-let default_candidates = [ 1; 2; 4; 8; 16; 32; 64 ]
-
-let best_segments ?(candidates = default_candidates) machines plan ~msg () =
-  match candidates with
-  | [] -> invalid_arg "Pipeline_bcast.best_segments: no candidates"
-  | first :: rest ->
-      let eval s = (s, simulate machines plan ~msg ~segments:s) in
-      List.fold_left
-        (fun ((_, bt) as best) s ->
-          let (_, t) as cand = eval s in
-          if t < bt then cand else best)
-        (eval first) rest

@@ -7,23 +7,13 @@
     large-message extension of the paper's approach, analogous to what
     {!Gridb_collectives.Pipeline} does inside one cluster.
 
-    Two evaluations are provided: a closed-form store-and-forward
-    approximation and an exact execution of the segmented protocol on
-    simMPI ({!simulate}).  The approximation is
-    [M1 + (S - 1) * B] where [M1] is the schedule's makespan at the
-    segment size and [B] is the steady-state bottleneck (the largest
-    per-segment NIC occupancy over all coordinators, inter-cluster relays
-    plus first-level intra forwards). *)
+    The segmented protocol is evaluated by executing it on simMPI
+    ({!simulate}); the [abl-segmented] ablation sweeps the segment count
+    with it. *)
 
 val segment_size : msg:int -> segments:int -> int
 (** [ceil (msg / segments)], at least 1 byte.
     @raise Invalid_argument if [segments < 1] or [msg < 1]. *)
-
-val approx :
-  Gridb_topology.Grid.t -> Gridb_sched.Schedule.t -> msg:int -> segments:int -> float
-(** Closed-form approximation (us).  [segments = 1] reduces exactly to the
-    schedule's makespan at full message size.
-    @raise Invalid_argument if the schedule does not fit the grid. *)
 
 val simulate :
   ?noise:Gridb_des.Noise.t ->
@@ -38,13 +28,3 @@ val simulate :
     parent, forwards it to all its children in plan order, then proceeds
     to segment [k+1].  [segments = 1] equals
     {!Gridb_mpi.Collectives.bcast_plan}'s completion time. *)
-
-val best_segments :
-  ?candidates:int list ->
-  Gridb_topology.Machines.t ->
-  Gridb_des.Plan.t ->
-  msg:int ->
-  unit ->
-  int * float
-(** Sweep candidate segment counts (default powers of two up to 64) by
-    simulation; return the winner and its makespan. *)

@@ -1,8 +1,7 @@
 module Instance = Gridb_sched.Instance
 module State = Gridb_sched.State
 module Schedule = Gridb_sched.Schedule
-module Policy = Gridb_sched.Policy
-module Engine = Gridb_sched.Engine
+module Portfolio = Gridb_sched.Portfolio
 module Bounds = Gridb_sched.Bounds
 
 type stats = {
@@ -29,33 +28,24 @@ let default_max_clusters = 12
    still checked against the list but no longer added. *)
 let memo_cap = 512
 
-let incumbent_of inst =
-  let best = ref None in
-  List.iter
-    (fun p ->
-      let s = Engine.run p inst in
-      let mk = Schedule.makespan inst s in
-      match !best with
-      | Some (_, _, bmk) when bmk <= mk -> ()
-      | _ -> best := Some (Policy.name p, s, mk))
-    Policy.all;
-  match !best with Some x -> x | None -> assert false
-
-let choices_of (s : Schedule.t) =
-  List.map (fun (e : Schedule.event) -> (e.Schedule.src, e.Schedule.dst)) s.Schedule.events
+let refuse_non_finite what x =
+  if not (Float.is_finite x) then
+    invalid_arg (Printf.sprintf "Exact: cannot certify a non-finite %s (%g)" what x)
 
 let solve ?(max_clusters = default_max_clusters) inst =
   let n = inst.Instance.n in
   if n > max_clusters then
     invalid_arg
       (Printf.sprintf "Exact: %d clusters exceeds the ceiling of %d" n max_clusters);
+  let lower_bound = Bounds.combined inst in
+  refuse_non_finite "root bound" lower_bound;
   let root = inst.Instance.root in
   let gap = inst.Instance.gap
   and lat = inst.Instance.latency
   and intra = inst.Instance.intra in
-  let inc_name, inc_sched, inc_mk = incumbent_of inst in
-  let best = ref inc_mk in
-  let best_choices = ref (choices_of inc_sched) in
+  let incumbent = Portfolio.run inst in
+  let best = ref incumbent.Portfolio.makespan in
+  let best_choices = ref (Schedule.picks incumbent.Portfolio.schedule) in
   let improved = ref 0
   and expanded = ref 0
   and pruned_bound = ref 0
@@ -232,16 +222,15 @@ let solve ?(max_clusters = default_max_clusters) inst =
     in
     dfs 0 1
   end;
-  let state = State.create inst in
-  List.iter (fun (src, dst) -> State.send state ~src ~dst) !best_choices;
-  let schedule = State.to_schedule state in
+  refuse_non_finite "makespan" !best;
+  let schedule = Option.get (State.replay inst !best_choices) in
   assert (Float.equal (Schedule.makespan inst schedule) !best);
   {
     makespan = !best;
     schedule;
-    lower_bound = Bounds.combined inst;
-    incumbent = inc_name;
-    incumbent_makespan = inc_mk;
+    lower_bound;
+    incumbent = incumbent.Portfolio.heuristic;
+    incumbent_makespan = incumbent.Portfolio.makespan;
     optimal_by_heuristic = !improved = 0;
     stats =
       {

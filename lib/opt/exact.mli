@@ -3,11 +3,14 @@
     The search space is the paper's Section 3 schedule space — every
     non-root cluster receives exactly once, senders are gap-serialised,
     intra-cluster broadcast after the last send — explored as a DFS over
-    delivered-set states [(A, avail)].  Three prunings keep n <= ~12
-    tractable where {!Gridb_sched.Optimal}'s brute force stops at 8:
+    delivered-set states [(A, avail)].  It is the one exact solver in the
+    repository; exhaustive enumeration (about 2.5e7 leaves at n = 8)
+    survives only as a test oracle.  Three prunings keep n <= ~12
+    tractable:
 
-    - {b incumbent}: the best of the seven paper heuristics seeds the
-      upper bound, so the search only ever proves or improves it;
+    - {b incumbent}: {!Gridb_sched.Portfolio.run} — the best of the seven
+      paper heuristics — seeds the upper bound, so the search only ever
+      proves or improves it;
     - {b bound}: a per-state analytic lower bound (busy clusters must
       still run [T_k]; every unreached cluster needs a final hop that no
       event can start before the earliest sender, optionally through a
@@ -21,10 +24,10 @@
       prove nothing the dominating one did not.
 
     Timing arithmetic matches {!Gridb_sched.State.send} operation for
-    operation ([(avail + g) + L]), and the certified schedule is replayed
-    through {!Gridb_sched.State} — so its makespan, its event list and
-    every schedule invariant agree exactly with the rest of the system,
-    and it executes unchanged on the DES. *)
+    operation ([(avail + g) + L]), and the certified schedule is rebuilt
+    from its pick sequence by {!Gridb_sched.State.replay} — so its
+    makespan, its event list and every schedule invariant agree exactly
+    with the rest of the system, and it executes unchanged on the DES. *)
 
 type stats = {
   expanded : int;  (** states branched on *)
@@ -50,7 +53,10 @@ val default_max_clusters : int
 (** 12. *)
 
 val solve : ?max_clusters:int -> Gridb_sched.Instance.t -> certificate
-(** @raise Invalid_argument if the instance exceeds [max_clusters]. *)
+(** @raise Invalid_argument if the instance exceeds [max_clusters], or if
+    the root bound or the optimal makespan is not finite (finite
+    parameters near [1e308] overflow): an infinite "optimum" certifies
+    nothing. *)
 
 val makespan : ?max_clusters:int -> Gridb_sched.Instance.t -> float
 (** [(solve inst).makespan]. *)

@@ -36,17 +36,7 @@ let crossover rng inst a_picks b_picks =
       else begin
         let src =
           if State.in_a state src then src
-          else begin
-            (* earliest-arrival sender for this receiver *)
-            let best = ref (-1) and best_a = ref infinity in
-            State.iter_a state (fun i ->
-                let a = State.score_arrival state i dst in
-                if a < !best_a then begin
-                  best_a := a;
-                  best := i
-                end);
-            !best
-          end
+          else Option.get (State.best_arrival_sender state ~dst)
         in
         State.send state ~src ~dst
       end
@@ -60,7 +50,7 @@ let crossover rng inst a_picks b_picks =
       | src :: _, dst :: _ -> State.send state ~src ~dst
       | _ -> assert false
     done;
-    Refine.picks_of_schedule (State.to_schedule state)
+    Schedule.picks (State.to_schedule state)
   end
 
 let mutate rng inst picks =
@@ -88,7 +78,7 @@ let mutate rng inst picks =
         Array.to_list copy
       end
     in
-    match Refine.replay inst candidate with Some _ -> candidate | None -> picks
+    match State.replay inst candidate with Some _ -> candidate | None -> picks
   end
 
 let search ?(config = default_config) ?model ?seeds inst =
@@ -102,23 +92,20 @@ let search ?(config = default_config) ?model ?seeds inst =
     | Some s -> s
     | None -> List.map (fun p -> Engine.run p inst) Policy.all
   in
-  let fitness picks =
-    match Refine.replay inst picks with
-    | Some s -> Some (Schedule.makespan ?model inst s)
-    | None -> None
-  in
   let seed_individuals =
     List.map
       (fun s ->
-        let picks = Refine.picks_of_schedule s in
-        match fitness picks with
+        let picks = Schedule.picks s in
+        match Refine.makespan_of_picks ?model inst picks with
         | Some m -> (picks, m)
         | None -> invalid_arg "Genetic.search: invalid seed schedule")
       seeds
   in
   let filler () =
-    let picks = Refine.picks_of_schedule (random_schedule ~rng inst) in
-    match fitness picks with Some m -> (picks, m) | None -> assert false
+    let picks = Schedule.picks (random_schedule ~rng inst) in
+    match Refine.makespan_of_picks ?model inst picks with
+    | Some m -> (picks, m)
+    | None -> assert false
   in
   let initial =
     let missing = max 0 (config.population - List.length seed_individuals) in
@@ -142,7 +129,9 @@ let search ?(config = default_config) ?model ?seeds inst =
             if Rng.float rng 1. < config.mutation_probability then mutate rng inst child
             else child
           in
-          match fitness child with Some m -> (child, m) | None -> filler ())
+          match Refine.makespan_of_picks ?model inst child with
+          | Some m -> (child, m)
+          | None -> filler ())
     in
     (* Elitist survival: best [population] of parents + offspring. *)
     let merged = sort_pop (!population @ offspring) in
@@ -150,7 +139,7 @@ let search ?(config = default_config) ?model ?seeds inst =
   done;
   match !population with
   | (best, _) :: _ -> (
-      match Refine.replay inst best with
+      match State.replay inst best with
       | Some s -> s
       | None -> assert false)
   | [] -> invalid_arg "Genetic.search: empty population"

@@ -4,7 +4,7 @@
 
     The related work optimises grid multicast trees with a GA; this module
     applies the same idea to the paper's schedule space.  A chromosome is a
-    pick sequence (see {!Refine}); crossover keeps a parent-A prefix and
+    pick sequence ({!Schedule.picks}); crossover keeps a parent-A prefix and
     completes it with parent B's remaining receivers (senders re-validated
     greedily); mutation applies one random swap / re-parent move.  Seeding
     the population with the heuristics' schedules makes the GA an

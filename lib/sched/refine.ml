@@ -1,24 +1,5 @@
-let picks_of_schedule (s : Schedule.t) =
-  List.map (fun e -> (e.Schedule.src, e.Schedule.dst)) s.Schedule.events
-
-let replay inst picks =
-  let state = State.create inst in
-  let ok =
-    List.for_all
-      (fun (src, dst) ->
-        if State.in_a state src && (not (State.in_a state dst)) && src <> dst then begin
-          State.send state ~src ~dst;
-          true
-        end
-        else false)
-      picks
-  in
-  if ok && State.finished state then Some (State.to_schedule state) else None
-
 let makespan_of_picks ?model inst picks =
-  match replay inst picks with
-  | Some s -> Some (Schedule.makespan ?model inst s)
-  | None -> None
+  Option.map (Schedule.makespan ?model inst) (State.replay inst picks)
 
 (* Neighbourhood enumeration over a pick array. *)
 let neighbours ~root picks =
@@ -75,10 +56,10 @@ let improve ?model ?(max_rounds = 50) inst schedule =
       | None -> picks
     end
   in
-  let picks = picks_of_schedule schedule in
+  let picks = Schedule.picks schedule in
   let base = Schedule.makespan ?model inst schedule in
   let final = climb 0 picks base in
-  match replay inst final with
+  match State.replay inst final with
   | Some s -> s
   | None -> schedule
 
@@ -120,7 +101,7 @@ let anneal ?model ?(seed = 0) ?(steps = 2_000) ?initial_temperature inst schedul
   in
   (* Cool to ~1% of the initial temperature over the run. *)
   let cooling = if steps <= 1 then 1. else Float.exp (Float.log 0.01 /. float_of_int steps) in
-  let current = ref (picks_of_schedule schedule) in
+  let current = ref (Schedule.picks schedule) in
   let current_m = ref base in
   let best = ref !current in
   let best_m = ref base in
@@ -144,7 +125,7 @@ let anneal ?model ?(seed = 0) ?(steps = 2_000) ?initial_temperature inst schedul
     | None -> ());
     temperature := !temperature *. cooling
   done;
-  match replay inst !best with Some s -> s | None -> schedule
+  match State.replay inst !best with Some s -> s | None -> schedule
 
 let improvement_ratio ?model inst schedule =
   let base = Schedule.makespan ?model inst schedule in

@@ -12,12 +12,10 @@
     improvement phase; here it doubles as an empirical upper-bound tightener
     for the gap-to-lower-bound reports. *)
 
-val picks_of_schedule : Schedule.t -> (int * int) list
-(** The (src, dst) sequence in round order. *)
-
-val replay : Instance.t -> (int * int) list -> Schedule.t option
-(** Rebuild a timed schedule from picks; [None] if the sequence is invalid
-    (a sender not yet in [A], a receiver already in [A], ...). *)
+val makespan_of_picks :
+  ?model:Schedule.completion_model -> Instance.t -> (int * int) list -> float option
+(** Makespan under [model] of the {!State.replay} of a {!Schedule.picks}
+    sequence; [None] if the sequence is invalid. *)
 
 val improve :
   ?model:Schedule.completion_model ->

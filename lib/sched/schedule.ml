@@ -29,6 +29,8 @@ let makespan ?model inst t =
 
 let rounds t = List.length t.events
 
+let picks t = List.map (fun e -> (e.src, e.dst)) t.events
+
 let depth t =
   let level = Array.make t.n 0 in
   List.iter (fun e -> level.(e.dst) <- level.(e.src) + 1) t.events;

@@ -56,6 +56,10 @@ val validate : Instance.t -> t -> (unit, string) result
 val rounds : t -> int
 (** Number of inter-cluster transmissions ([n - 1] when valid). *)
 
+val picks : t -> (int * int) list
+(** The (src, dst) pick sequence in round order: with the instance, all a
+    schedule of this model needs ({!State.replay} rebuilds the timing). *)
+
 val depth : t -> int
 (** Longest relay chain from the root (1 for a pure flat tree). *)
 

@@ -175,6 +175,15 @@ let to_schedule t =
     busy_until = Array.copy t.avail;
   }
 
+let replay inst picks =
+  let t = create inst in
+  let step (src, dst) =
+    let ok = in_a t src && not (in_a t dst) in
+    if ok then send t ~src ~dst;
+    ok
+  in
+  if List.for_all step picks && finished t then Some (to_schedule t) else None
+
 let run select inst =
   let t = create inst in
   while not (finished t) do

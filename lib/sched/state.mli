@@ -73,6 +73,12 @@ val send : t -> src:int -> dst:int -> unit
 val to_schedule : t -> Schedule.t
 (** Snapshot of the events so far (valid once {!finished}). *)
 
+val replay : Instance.t -> (int * int) list -> Schedule.t option
+(** Rebuild the timed schedule of a {!Schedule.picks} sequence by {!send}ing
+    each pick from a fresh state; [None] unless every pick is valid when it
+    is applied (sender in [A], receiver in [B]) and the sequence completes
+    the broadcast.  @raise Invalid_argument on a cluster id out of range. *)
+
 val run : (t -> int * int) -> Instance.t -> Schedule.t
 (** [run select inst] drives the greedy loop: while [B] is non-empty, apply
     [select] and {!send} the chosen pair.  Single-cluster instances yield an

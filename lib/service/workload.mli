@@ -13,8 +13,6 @@ type priority = Low | High
 val priority_to_string : priority -> string
 (** ["low"] / ["high"] — the form carried by [Shed] events. *)
 
-val priority_of_string : string -> (priority, string) result
-
 type request = {
   rid : int;  (** dense request id, 0-based arrival order *)
   at : float;  (** arrival time, simulated us *)

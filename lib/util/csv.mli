@@ -23,7 +23,3 @@ val ensure_directory : string -> unit
 val write : string -> string list list -> unit
 (** [write path rows] writes all rows (first row typically the header),
     creating the parent directory if needed. *)
-
-val float_rows :
-  header:string list -> (string * float list) list -> string list list
-(** Convenience: label + float cells per row, floats printed with [%.6g]. *)

@@ -66,11 +66,6 @@ let summarize xs =
     p95 = percentile_sorted sorted 0.95;
   }
 
-let pp_summary ppf s =
-  Format.fprintf ppf
-    "n=%d mean=%.6g sd=%.3g min=%.6g med=%.6g max=%.6g [p05=%.6g p95=%.6g]"
-    s.count s.mean s.stddev s.min s.median s.max s.p05 s.p95
-
 module Online = struct
   type t = {
     mutable n : int;

@@ -36,8 +36,6 @@ val summarize : float array -> summary
 (** Full summary in a single pass over a sorted copy.
     @raise Invalid_argument on empty input. *)
 
-val pp_summary : Format.formatter -> summary -> unit
-
 (** Streaming (Welford) accumulator, used when 10000 makespans per point
     would be wasteful to retain. *)
 module Online : sig

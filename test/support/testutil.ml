@@ -29,6 +29,41 @@ let random_grid ?cluster_size ~n seed =
   in
   Generators.uniform_random ~rng:(Rng.create seed) ~n spec
 
+let brute_force_makespan inst =
+  let n = inst.Instance.n in
+  let gap = inst.Instance.gap
+  and lat = inst.Instance.latency
+  and intra = inst.Instance.intra in
+  let in_a = Array.make n false and avail = Array.make n 0. in
+  in_a.(inst.Instance.root) <- true;
+  let best = ref infinity in
+  let rec dfs left =
+    if left = 0 then begin
+      let mk = ref 0. in
+      for k = 0 to n - 1 do
+        mk := Float.max !mk (avail.(k) +. intra.(k))
+      done;
+      best := Float.min !best !mk
+    end
+    else
+      for i = 0 to n - 1 do
+        if in_a.(i) then
+          for j = 0 to n - 1 do
+            if not in_a.(j) then begin
+              let saved = avail.(i) in
+              avail.(i) <- saved +. gap.(i).(j);
+              avail.(j) <- avail.(i) +. lat.(i).(j);
+              in_a.(j) <- true;
+              dfs (left - 1);
+              in_a.(j) <- false;
+              avail.(i) <- saved
+            end
+          done
+      done
+  in
+  dfs (n - 1);
+  !best
+
 let corpus ?(n_range = (2, 12)) ~seed ~count () =
   let rng = Rng.create seed in
   let lo, hi = n_range in

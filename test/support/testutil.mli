@@ -24,6 +24,12 @@ val random_grid :
 (** Seeded {!Gridb_topology.Generators.uniform_random} grid;
     [cluster_size] defaults to the generator's 4-128 range. *)
 
+val brute_force_makespan : Gridb_sched.Instance.t -> float
+(** Optimal makespan by exhaustive enumeration of every (sender in [A],
+    receiver in [B]) pick sequence, with no pruning: the independent oracle
+    the exact solver is checked against.  [prod_{k=1}^{n-1} k (n - k)]
+    leaves, so keep [n <= 7]. *)
+
 val corpus :
   ?n_range:int * int ->
   seed:int ->

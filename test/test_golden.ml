@@ -246,6 +246,38 @@ let test_chaos_serve_golden () =
     "cut+loss serve smoke digest" cut_serve_smoke_digest
     (Digest.to_hex (Digest.string (cut_serve_smoke ())))
 
+(* Golden pin of the optimum-bearing ablations: every series point of
+   [abl-optgap] (heuristic / optimal ratios) and [abl-metaheuristics]
+   (whose "optimal" row is the exact floor) at 30 draws per point, printed
+   [%.17g].  Recorded while the optimum came from the brute-force search,
+   so an exact solver that ever returns another makespan fails here. *)
+let ablation_optimum_digest = "7ed651db76b48291a5f858b1c26b604b"
+
+let ablation_optimum_buffer () =
+  let module Ablations = Gridb_experiments.Ablations in
+  let module Config = Gridb_experiments.Config in
+  let module Report = Gridb_experiments.Report in
+  let config = Config.with_iterations 30 Config.quick in
+  let buf = Buffer.create 4096 in
+  List.iter
+    (fun (fig : Report.figure) ->
+      Buffer.add_string buf fig.Report.id;
+      List.iter
+        (fun (name, points) ->
+          Buffer.add_string buf ("|" ^ name);
+          List.iter
+            (fun (x, y) -> Buffer.add_string buf (Printf.sprintf ",%.17g:%.17g" x y))
+            points)
+        fig.Report.series;
+      Buffer.add_char buf '\n')
+    [ Ablations.optimality_gap config; Ablations.metaheuristics config ];
+  buf
+
+let test_ablation_optimum_golden () =
+  Alcotest.(check string)
+    "abl-optgap + abl-metaheuristics digest" ablation_optimum_digest
+    (Digest.to_hex (Digest.string (Buffer.contents (ablation_optimum_buffer ()))))
+
 let regen () =
   let grid = Gridb_topology.Grid5000.grid () in
   let inst = Instance.of_grid ~root:0 ~msg:1_000_000 grid in
@@ -277,7 +309,9 @@ let regen () =
     (Buffer.length buf);
   Printf.printf "chaotic serve smoke: digest %s\ncut+loss serve smoke: digest %s\n"
     (Digest.to_hex (Digest.string (chaos_serve_smoke ())))
-    (Digest.to_hex (Digest.string (cut_serve_smoke ())))
+    (Digest.to_hex (Digest.string (cut_serve_smoke ())));
+  Printf.printf "optimum ablations: digest %s\n"
+    (Digest.to_hex (Digest.string (Buffer.contents (ablation_optimum_buffer ()))))
 
 let () =
   if Array.length Sys.argv > 1 && Sys.argv.(1) = "regen" then regen ()
@@ -293,6 +327,7 @@ let () =
             quick "grid5000 instance values" test_grid5000_instance_golden;
             quick "pre-refactor executor corpus digest" test_exec_corpus_golden;
             quick "chaotic serve smoke digests" test_chaos_serve_golden;
+            quick "optimum-bearing ablations digest" test_ablation_optimum_golden;
           ] );
       ]
   end

@@ -9,7 +9,6 @@ module Schedule = Gridb_sched.Schedule
 module Policy = Gridb_sched.Policy
 module Engine = Gridb_sched.Engine
 module Bounds = Gridb_sched.Bounds
-module Optimal = Gridb_sched.Optimal
 module Generators = Gridb_topology.Generators
 module Machines = Gridb_topology.Machines
 module Plan = Gridb_des.Plan
@@ -115,15 +114,16 @@ let test_bound_below_des_transports () =
 (* ------------------------------------------------------------------ *)
 
 let test_exact_matches_brute_force () =
-  (* The old exhaustive search explores the identical schedule space with
-     no pruning: both must certify the same optimum (feq: two distinct
-     optimal schedules may differ by summation order ulps). *)
+  (* The exhaustive oracle explores the identical schedule space with no
+     pruning: both must find the same optimum (feq: two distinct optimal
+     schedules may differ by summation order ulps).  Sixteen draws cover
+     every size from 1 to 7. *)
   List.iter
     (fun (seed, inst) ->
-      let bnb = Exact.makespan inst and brute = Optimal.makespan inst in
+      let bnb = Exact.makespan inst and brute = Testutil.brute_force_makespan inst in
       if not (feq bnb brute) then
         Alcotest.failf "seed=%d: B&B %.17g <> brute force %.17g" seed bnb brute)
-    (Testutil.corpus ~n_range:(2, 7) ~seed:77 ~count:6 ())
+    (Testutil.corpus ~n_range:(1, 7) ~seed:77 ~count:16 ())
 
 let test_certificate_coherent () =
   List.iter
@@ -151,6 +151,21 @@ let test_exact_rejects_oversize () =
   let inst = Testutil.random_instance ~n:13 1 in
   Alcotest.check_raises "beyond default ceiling"
     (Invalid_argument "Exact: 13 clusters exceeds the ceiling of 12") (fun () ->
+      ignore (Exact.solve inst))
+
+let test_exact_rejects_non_finite () =
+  (* Gaps of 1e308 are finite, but a coordinator's second send overflows
+     to inf, and so does the fan-out bound: nothing may be certified. *)
+  let n = 3 in
+  let off_diagonal x =
+    Array.init n (fun i -> Array.init n (fun j -> if i = j then 0. else x))
+  in
+  let inst =
+    Instance.v ~root:0 ~latency:(off_diagonal 10.) ~gap:(off_diagonal 1e308)
+      ~intra:(Array.make n 1.)
+  in
+  Alcotest.check_raises "non-finite root bound"
+    (Invalid_argument "Exact: cannot certify a non-finite root bound (inf)") (fun () ->
       ignore (Exact.solve inst))
 
 let test_traff_informed_recurrence () =
@@ -229,13 +244,10 @@ let test_heterogeneous_not_homogeneous () =
 (* Invariant.replay, and the DES executor at the certified makespan.  *)
 (* ------------------------------------------------------------------ *)
 
-let choices_of sched =
-  List.map (fun e -> (e.Schedule.src, e.Schedule.dst)) sched.Schedule.events
-
 let replay_analytic name inst cert =
   check_outcome (name ^ ": invariant catalogue")
     (Invariant.check_schedule inst cert.Exact.schedule);
-  match Invariant.replay_makespan inst (choices_of cert.Exact.schedule) with
+  match Invariant.replay_makespan inst (Schedule.picks cert.Exact.schedule) with
   | Error e -> Alcotest.failf "%s: replay rejected: %s" name e
   | Ok mk ->
       Alcotest.(check bool)
@@ -381,6 +393,7 @@ let () =
             Alcotest.test_case "matches brute force" `Slow test_exact_matches_brute_force;
             Alcotest.test_case "certificate coherent" `Quick test_certificate_coherent;
             Alcotest.test_case "rejects oversize" `Quick test_exact_rejects_oversize;
+            Alcotest.test_case "rejects non-finite" `Quick test_exact_rejects_non_finite;
             Alcotest.test_case "heuristics never beat it" `Quick
               test_heuristics_never_beat_certificate;
           ] );

@@ -7,7 +7,7 @@ module Instance = Gridb_sched.Instance
 module Schedule = Gridb_sched.Schedule
 module Policy = Gridb_sched.Policy
 module Engine = Gridb_sched.Engine
-module Optimal = Gridb_sched.Optimal
+module Exact = Gridb_opt.Exact
 module Bounds = Gridb_sched.Bounds
 module Machines = Gridb_topology.Machines
 module Generators = Gridb_topology.Generators
@@ -44,7 +44,7 @@ let permutation_invariance_of_optimal =
       let inst = random_instance ~n seed in
       let rng = Rng.create (seed + 1) in
       let perm = Rng.permutation rng n in
-      feq (Optimal.makespan inst) (Optimal.makespan (permute_instance perm inst)))
+      feq (Exact.makespan inst) (Exact.makespan (permute_instance perm inst)))
 
 let permutation_invariance_of_bounds =
   QCheck.Test.make ~name:"lower bounds are invariant under cluster relabeling"
@@ -130,7 +130,7 @@ let optimal_monotone_in_t =
           ~gap:inst.Instance.gap
           ~intra:(Array.map (fun t -> t /. 2.) inst.Instance.intra)
       in
-      Optimal.makespan reduced <= Optimal.makespan inst +. 1e-6)
+      Exact.makespan reduced <= Exact.makespan inst +. 1e-6)
 
 (* Message-size monotonicity end to end: larger broadcasts never finish
    earlier, whatever the heuristic. *)

@@ -9,7 +9,7 @@ module Schedule = Gridb_sched.Schedule
 module Policy = Gridb_sched.Policy
 module Engine = Gridb_sched.Engine
 module Lookahead = Gridb_sched.Lookahead
-module Optimal = Gridb_sched.Optimal
+module Exact = Gridb_opt.Exact
 module Mixed = Gridb_sched.Mixed
 module Hit_rate = Gridb_sched.Hit_rate
 module Rng = Gridb_util.Rng
@@ -385,21 +385,14 @@ let test_by_name () =
   Alcotest.(check int) "all has 7" 7 (List.length Policy.all);
   Alcotest.(check int) "family has 4" 4 (List.length Policy.ecef_family)
 
-(* --- Optimal -------------------------------------------------------------- *)
-
-let test_optimal_schedule_count () =
-  Alcotest.(check int) "n=1" 1 (Optimal.schedule_count 1);
-  Alcotest.(check int) "n=2" 1 (Optimal.schedule_count 2);
-  Alcotest.(check int) "n=3" 4 (Optimal.schedule_count 3);
-  Alcotest.(check int) "n=4" 36 (Optimal.schedule_count 4);
-  Alcotest.(check int) "n=5" 576 (Optimal.schedule_count 5)
+(* --- Optimal (the exact solver) ------------------------------------------ *)
 
 let optimal_not_beaten =
   QCheck.Test.make ~name:"no heuristic beats the optimal" ~count:(Testutil.count 60)
     QCheck.(pair (int_range 2 6) (int_bound 10_000))
     (fun (n, seed) ->
       let inst = random_instance ~n seed in
-      let opt = Optimal.makespan inst in
+      let opt = Exact.makespan inst in
       List.for_all (fun h -> Engine.makespan h inst >= opt -. 1e-6) Policy.all)
 
 let optimal_schedule_is_valid_and_matches =
@@ -407,20 +400,20 @@ let optimal_schedule_is_valid_and_matches =
     QCheck.(pair (int_range 2 6) (int_bound 10_000))
     (fun (n, seed) ->
       let inst = random_instance ~n seed in
-      let s = Optimal.schedule inst in
+      let s = Exact.schedule inst in
       Result.is_ok (Schedule.validate inst s)
-      && feq ~eps:1e-9 (Schedule.makespan inst s) (Optimal.makespan inst))
+      && feq ~eps:1e-9 (Schedule.makespan inst s) (Exact.makespan inst))
 
 let test_optimal_rejects_large () =
   let inst = random_instance ~n:9 3 in
-  Alcotest.check_raises "ceiling"
-    (Invalid_argument "Optimal: 9 clusters exceeds the ceiling of 8") (fun () ->
-      ignore (Optimal.makespan inst))
+  Alcotest.check_raises "caller's ceiling"
+    (Invalid_argument "Exact: 9 clusters exceeds the ceiling of 8") (fun () ->
+      ignore (Exact.makespan ~max_clusters:8 inst))
 
 let test_optimal_two_clusters () =
   let inst = hand_instance () in
   (* Optimal for the hand instance is the ECEF schedule (relay through 1). *)
-  check_feq "optimal = 6" 6. (Optimal.makespan inst)
+  check_feq "optimal = 6" 6. (Exact.makespan inst)
 
 (* --- Mixed strategy -------------------------------------------------------- *)
 
@@ -483,7 +476,7 @@ let bounds_below_optimal =
     QCheck.(pair (int_range 2 6) (int_bound 10_000))
     (fun (n, seed) ->
       let inst = random_instance ~n seed in
-      Gridb_sched.Bounds.combined inst <= Optimal.makespan inst +. 1e-6)
+      Gridb_sched.Bounds.combined inst <= Exact.makespan inst +. 1e-6)
 
 let test_bounds_hand_instance () =
   let inst = hand_instance () in
@@ -499,7 +492,7 @@ let test_bounds_hand_instance () =
   check_feq "combined" 5. (Gridb_sched.Bounds.combined inst);
   (* optimal is 6: the bound is tight within 20% here *)
   check_feq "gap ratio of optimum" (6. /. 5.)
-    (Gridb_sched.Bounds.gap_ratio inst (Optimal.makespan inst))
+    (Gridb_sched.Bounds.gap_ratio inst (Exact.makespan inst))
 
 let test_bounds_single_cluster () =
   let inst = Instance.v ~root:0 ~latency:[| [| 0. |] |] ~gap:[| [| 0. |] |] ~intra:[| 42. |] in
@@ -513,17 +506,17 @@ let test_bounds_single_cluster () =
 let test_refine_picks_roundtrip () =
   let inst = random_instance ~n:8 5 in
   let s = Engine.run Policy.ecef inst in
-  let picks = Gridb_sched.Refine.picks_of_schedule s in
-  match Gridb_sched.Refine.replay inst picks with
+  let picks = Schedule.picks s in
+  match State.replay inst picks with
   | None -> Alcotest.fail "replay of a valid schedule failed"
   | Some s2 -> check_feq "same makespan" (Schedule.makespan inst s) (Schedule.makespan inst s2)
 
 let test_refine_replay_rejects_invalid () =
   let inst = hand_instance () in
   Alcotest.(check bool) "sender not in A" true
-    (Gridb_sched.Refine.replay inst [ (1, 2); (0, 1) ] = None);
-  Alcotest.(check bool) "incomplete" true (Gridb_sched.Refine.replay inst [ (0, 1) ] = None);
-  Alcotest.(check bool) "valid" true (Gridb_sched.Refine.replay inst [ (0, 1); (1, 2) ] <> None)
+    (State.replay inst [ (1, 2); (0, 1) ] = None);
+  Alcotest.(check bool) "incomplete" true (State.replay inst [ (0, 1) ] = None);
+  Alcotest.(check bool) "valid" true (State.replay inst [ (0, 1); (1, 2) ] <> None)
 
 let refine_never_worse =
   QCheck.Test.make ~name:"local search never degrades a schedule" ~count:(Testutil.count 40)
@@ -544,7 +537,7 @@ let refine_never_beats_optimal =
     (fun (n, seed) ->
       let inst = random_instance ~n seed in
       let s = Gridb_sched.Refine.improve inst (Engine.run Policy.flat_tree inst) in
-      Schedule.makespan inst s >= Optimal.makespan inst -. 1e-6)
+      Schedule.makespan inst s >= Exact.makespan inst -. 1e-6)
 
 let test_refine_improves_flat_tree () =
   (* On the hand instance, the flat tree (makespan 32) must be improved to
@@ -614,7 +607,7 @@ let ga_respects_optimal =
       let inst = random_instance ~n seed in
       let config = { Genetic.default_config with generations = 15; population = 12; seed } in
       Schedule.makespan inst (Genetic.search ~config inst)
-      >= Optimal.makespan inst -. 1e-6)
+      >= Testutil.brute_force_makespan inst -. 1e-6)
 
 let test_ga_improves_flat_seed () =
   (* Seeded only with the flat tree, the GA must find the relay schedule of
@@ -775,7 +768,6 @@ let () =
         ] );
       ( "optimal",
         [
-          quick "schedule count" test_optimal_schedule_count;
           QCheck_alcotest.to_alcotest optimal_not_beaten;
           QCheck_alcotest.to_alcotest optimal_schedule_is_valid_and_matches;
           quick "rejects large" test_optimal_rejects_large;

@@ -4,7 +4,10 @@
 # number each (NaN, negative and infinite link latency, a size-0 cluster),
 # and requires a typed load error: exit status 1 and "cannot load" on
 # stderr, never an uncaught exception (exit 125), a hang, or a run on
-# non-finite parameters.
+# non-finite parameters.  A dump whose every inter-cluster gap is 1e308
+# loads (each number is finite) but overflows once a coordinator sends
+# twice: `optimal` must refuse to certify it, exit 1 naming the
+# non-finite value.
 #   bash topology_bad_files.sh path/to/gridsched.exe
 set -u
 exe=$1
@@ -23,6 +26,7 @@ bad nan-latency 's/^(link 0 1 L )[^ ]+/\1nan/'
 bad negative-latency 's/^(link 0 1 L )[^ ]+/\1-5/'
 bad inf-latency 's/^(link 0 1 L )[^ ]+/\1inf/'
 bad zero-size-cluster 's/^(cluster 0 [^ ]+ )[0-9]+/\10/'
+bad huge-gaps 's/^(link [0-9]+ [0-9]+ L [^ ]+ )G .*/\1G 0:1e308,1000000:1e308/'
 for path in "$dir/missing.topo" "$dir" "$dir/nan-latency.topo" \
   "$dir/negative-latency.topo" "$dir/inf-latency.topo" \
   "$dir/zero-size-cluster.topo"; do
@@ -35,6 +39,12 @@ for path in "$dir/missing.topo" "$dir" "$dir/nan-latency.topo" \
     fi
   done
 done
+err=$(timeout 20 "$exe" optimal --topology "$dir/huge-gaps.topo" 2>&1 >/dev/null)
+status=$?
+if [ "$status" -ne 1 ] || ! grep -q -- "non-finite" <<<"$err"; then
+  echo "optimal --topology huge-gaps: exit $status, expected a non-finite refusal: $err" >&2
+  failures=$((failures + 1))
+fi
 if [ "$failures" -ne 0 ]; then
   echo "$failures unreadable or invalid topology files were not reported as load errors" >&2
   exit 1
