@@ -315,7 +315,7 @@ let stream_causality ~n events =
   let arr = first_arrivals ~n events in
   let rec go = function
     | [] -> Ok ()
-    | Event.Send_start { src; time; dst; _ } :: rest ->
+    | Event.Send { src; time; dst; _ } :: rest ->
         if src < 0 || src >= n then fail name "send from out-of-range rank %d" src
         else if Float.is_nan arr.(src) then
           fail name "rank %d sends to %d at %g without ever receiving the message" src dst
@@ -328,33 +328,17 @@ let stream_causality ~n events =
   in
   go events
 
-(* Pair each Send_start with its Send_end.  Both executors emit the pair
-   back to back, so a pending start keyed by (src, dst) is always consumed
-   by the next end of that edge. *)
+(* Each sender's (start, gap end, dst, arrival) injections, latest first. *)
 let injection_intervals ~n events =
-  let pending = Hashtbl.create 64 in
   let per_src = Array.make n [] in
   let rec go = function
-    | [] ->
-        if Hashtbl.length pending > 0 then
-          let (src, dst), _ = Hashtbl.fold (fun k v _ -> (k, v)) pending (((-1), -1), 0.) in
-          Error (Printf.sprintf "send %d -> %d has a start but no end" src dst)
-        else Ok per_src
-    | Event.Send_start { src; dst; time; _ } :: rest ->
+    | [] -> Ok per_src
+    | Event.Send { src; dst; time; gap_end; arrival; _ } :: rest ->
         if src < 0 || src >= n then Error (Printf.sprintf "send from out-of-range rank %d" src)
-        else if Hashtbl.mem pending (src, dst) then
-          Error (Printf.sprintf "send %d -> %d started twice without ending" src dst)
         else begin
-          Hashtbl.add pending (src, dst) time;
+          per_src.(src) <- (time, gap_end, dst, arrival) :: per_src.(src);
           go rest
         end
-    | Event.Send_end { src; dst; time; arrival } :: rest -> (
-        match Hashtbl.find_opt pending (src, dst) with
-        | None -> Error (Printf.sprintf "send %d -> %d ends without a start" src dst)
-        | Some start ->
-            Hashtbl.remove pending (src, dst);
-            per_src.(src) <- (start, time, dst, arrival) :: per_src.(src);
-            go rest)
     | _ :: rest -> go rest
   in
   go events
@@ -429,7 +413,7 @@ let stream_no_spontaneous_delivery ~root events =
   let promised = Hashtbl.create 64 in
   List.iter
     (function
-      | Event.Send_end { src; dst; arrival; _ } -> Hashtbl.add promised (src, dst) arrival
+      | Event.Send { src; dst; arrival; _ } -> Hashtbl.add promised (src, dst) arrival
       | _ -> ())
     events;
   let rec go = function
@@ -478,51 +462,20 @@ let split_sessions events =
 
 let sessions_nic_serialization ~n events =
   let name = "sessions-nic-serialization" in
-  (* Injection intervals keyed by (sid, src, dst): within one session the
-     executors emit each start/end pair back to back, and distinct sessions
-     never share a key, so sequential pairing is unambiguous even though
-     the merged stream interleaves sessions. *)
-  let pending = Hashtbl.create 64 in
+  (* Every tagged injection, per sender NIC, across all sessions. *)
   let per_src = Array.make n [] in
   let rec collect = function
-    | [] ->
-        if Hashtbl.length pending > 0 then
-          let (sid, src, dst), _ =
-            Hashtbl.fold (fun k v _ -> (k, v)) pending ((-1, -1, -1), 0.)
-          in
-          Error
-            (Printf.sprintf "session %d: send %d -> %d has a start but no end" sid src
-               dst)
-        else Ok per_src
+    | [] -> Ok per_src
     | e :: rest -> (
-        match Event.sid e with
-        | None -> collect rest
-        | Some sid -> (
-            match Event.untag e with
-            | Event.Send_start { src; dst; time; _ } ->
-                if src < 0 || src >= n then
-                  Error
-                    (Printf.sprintf "session %d: send from out-of-range rank %d" sid src)
-                else if Hashtbl.mem pending (sid, src, dst) then
-                  Error
-                    (Printf.sprintf
-                       "session %d: send %d -> %d started twice without ending" sid src
-                       dst)
-                else begin
-                  Hashtbl.add pending (sid, src, dst) time;
-                  collect rest
-                end
-            | Event.Send_end { src; dst; time; _ } -> (
-                match Hashtbl.find_opt pending (sid, src, dst) with
-                | None ->
-                    Error
-                      (Printf.sprintf "session %d: send %d -> %d ends without a start"
-                         sid src dst)
-                | Some start ->
-                    Hashtbl.remove pending (sid, src, dst);
-                    per_src.(src) <- (start, time, sid, dst) :: per_src.(src);
-                    collect rest)
-            | _ -> collect rest))
+        match (Event.sid e, Event.untag e) with
+        | Some sid, Event.Send { src; dst; time; gap_end; _ } ->
+            if src < 0 || src >= n then
+              Error (Printf.sprintf "session %d: send from out-of-range rank %d" sid src)
+            else begin
+              per_src.(src) <- (time, gap_end, sid, dst) :: per_src.(src);
+              collect rest
+            end
+        | _ -> collect rest)
   in
   match collect events with
   | Error d -> fail name "%s" d

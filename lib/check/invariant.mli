@@ -115,12 +115,12 @@ val stream_receive_at_most_once : n:int -> Gridb_obs.Event.t list -> outcome
     contract that survives faults (partial delivery allowed). *)
 
 val stream_causality : n:int -> Gridb_obs.Event.t list -> outcome
-(** ["stream-causality"]: every [Send_start] by rank [r] happens at or
-    after [r]'s own [Arrival]; a rank that never received sends nothing. *)
+(** ["stream-causality"]: every [Send] by rank [r] starts at or after
+    [r]'s own [Arrival]; a rank that never received sends nothing. *)
 
 val stream_nic_serialization : n:int -> Gridb_obs.Event.t list -> outcome
-(** ["stream-nic-serialization"]: pairing each [Send_start] with its
-    [Send_end], the injection intervals of any one sender never overlap
+(** ["stream-nic-serialization"]: the injection intervals ([time] to
+    [gap_end]) of any one sender's [Send] events never overlap
     (ACKs are control-plane and exempt by construction — they produce no
     send events). *)
 
@@ -132,7 +132,7 @@ val stream_gap_conformance :
 
 val stream_no_spontaneous_delivery : root:int -> Gridb_obs.Event.t list -> outcome
 (** ["stream-no-spontaneous-delivery"]: every [Arrival] (except the root's
-    own injection of the message) is explained by a [Send_end] of the same
+    own injection of the message) is explained by a [Send] of the same
     edge whose predicted arrival is exactly that time. *)
 
 val check_stream : ?faulty:bool -> n:int -> root:int -> Gridb_obs.Event.t list -> outcome
@@ -152,10 +152,9 @@ val split_sessions : Gridb_obs.Event.t list -> (int * Gridb_obs.Event.t list) li
     belong to no session and are dropped. *)
 
 val sessions_nic_serialization : n:int -> Gridb_obs.Event.t list -> outcome
-(** ["sessions-nic-serialization"]: pairing each session's [Send_start]
-    with its [Send_end] (keys are [(sid, src, dst)]), the injection
-    intervals of any one sender NIC never overlap {e across} sessions —
-    the shared-wire one-port discipline that only exists in multi-session
-    runs.  Untagged events are ignored. *)
+(** ["sessions-nic-serialization"]: the injection intervals ([time] to
+    [gap_end]) of any one sender NIC's [Send] events never overlap
+    {e across} sessions — the shared-wire one-port discipline that only
+    exists in multi-session runs.  Untagged events are ignored. *)
 
 val stream_invariant_names : string list

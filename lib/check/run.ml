@@ -254,8 +254,7 @@ let session_root evs =
   go evs
 
 let event_time = function
-  | Event.Send_start { time; _ }
-  | Event.Send_end { time; _ }
+  | Event.Send { time; _ }
   | Event.Arrival { time; _ }
   | Event.Ack { time; _ }
   | Event.Retransmit { time; _ }

@@ -79,10 +79,10 @@ let transport_to_string = function
   | Adaptive { reroute = true; _ } -> "adaptive,reroute"
 
 let run_reliable ?noise ?rng ?start_delay ?msg ?obs ?faults ?dynamics ?on_tick
-    ?tick_every ?retries ?rto_mult ?rto_min ?rto_max ?transport machines plan =
+    ?tick_every ?retries ?transport machines plan =
   let config =
     Config.v ?noise ?rng ?start_delay ?msg ?obs ?faults ?dynamics ?on_tick
-      ?tick_every ?retries ?rto_mult ?rto_min ?rto_max ?transport ()
+      ?tick_every ?retries ?transport ()
   in
   Config.validate ~who:"Exec.run_reliable" config machines plan;
   let wire = Wire.create ~n:(Session.population config machines) in
@@ -106,8 +106,8 @@ type reliable_summary = {
 }
 
 let mean_reliable ?(noise = Noise.default_measured) ?(msg = 1_000_000)
-    ?(repetitions = 10) ?(retries = 5) ?(rto_mult = 2.) ?(rto_min = 1.)
-    ?(rto_max = 1e9) ?(transport = Fixed) ?(jobs = 1) ~seed ~spec machines plan =
+    ?(repetitions = 10) ?(retries = 5) ?(transport = Fixed) ?(jobs = 1) ~seed ~spec
+    machines plan =
   if repetitions < 1 then invalid_arg "Exec.mean_reliable: repetitions < 1";
   let n = Machines.count machines in
   (* Same indexed-stream discipline as [mean_makespan]: repetition [rep]
@@ -122,8 +122,7 @@ let mean_reliable ?(noise = Noise.default_measured) ?(msg = 1_000_000)
         let stream = Gridb_util.Rng.split base rep in
         let fseed = Int64.to_int (Gridb_util.Rng.bits64 stream) land max_int in
         let faults = Faults.create ~seed:fseed ~n spec in
-        run_reliable ~noise ~rng:stream ~msg ~faults ~retries ~rto_mult ~rto_min
-          ~rto_max ~transport machines plan)
+        run_reliable ~noise ~rng:stream ~msg ~faults ~retries ~transport machines plan)
       (Array.make repetitions ())
   in
   let makespans = Array.map (fun r -> r.r_makespan) results in

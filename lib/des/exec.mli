@@ -11,7 +11,7 @@
     point accuracy — an invariant the integration tests rely on.
 
     Observability: both executors accept an [obs] sink and publish the full
-    event stream of the run — [Send_start]/[Send_end]/[Arrival] (plus
+    event stream of the run — one [Send] per transmission and [Arrival] (plus
     [Ack]/[Retransmit]/[Give_up] and the engine's timer events for the
     reliable executor).  With the default {!Gridb_obs.Sink.null} every
     emission site is a single always-false test: seeded runs are
@@ -129,9 +129,6 @@ val run_reliable :
   ?on_tick:(now:float -> Adaptive.t option -> unit) ->
   ?tick_every:float ->
   ?retries:int ->
-  ?rto_mult:float ->
-  ?rto_min:float ->
-  ?rto_max:float ->
   ?transport:transport ->
   Gridb_topology.Machines.t ->
   Plan.t ->
@@ -141,11 +138,10 @@ val run_reliable :
     the receiver ACKs every delivery on the control plane (reverse-link
     latency, no NIC seizure), the sender arms a cancellable timer [rto]
     after its injection ends and retransmits with doubled [rto] on every
-    timeout — capped at [rto_max] us (default 1e9) — up to [retries]
-    retransmissions (default 5) before abandoning the edge — partial
-    delivery, reported via [gave_up].  The initial [rto] is [rto_mult]
-    (default 2.) times the link's noiseless round trip [g + L + L_back],
-    floored at [rto_min] us (default 1.).
+    timeout — capped at 1e9 us — up to [retries] retransmissions
+    (default 5) before abandoning the edge — partial delivery, reported
+    via [gave_up].  The initial [rto] is twice the link's noiseless round
+    trip [g + L + L_back], floored at 1 us.
 
     [transport] (default {!Fixed}) selects the retransmission strategy.
     Under [Adaptive], every clean round trip updates a per-link
@@ -197,8 +193,7 @@ val run_reliable :
     and tick callbacks never touch the data path.  The zero-fault identity
     the property tests pin down.
     @raise Invalid_argument on plan/machine/fault-model/dynamics-model size
-    mismatch, [retries < 0], [rto_mult < 1.], [rto_min <= 0.],
-    [rto_max < rto_min] or negative [tick_every]. *)
+    mismatch, [retries < 0] or negative [tick_every]. *)
 
 type reliable_summary = {
   reps : int;
@@ -216,9 +211,6 @@ val mean_reliable :
   ?msg:int ->
   ?repetitions:int ->
   ?retries:int ->
-  ?rto_mult:float ->
-  ?rto_min:float ->
-  ?rto_max:float ->
   ?transport:transport ->
   ?jobs:int ->
   seed:int ->

@@ -40,9 +40,6 @@ module Config = struct
     on_tick : now:float -> Adaptive.t option -> unit;
     tick_every : float;
     retries : int;
-    rto_mult : float;
-    rto_min : float;
-    rto_max : float;
     transport : transport;
   }
 
@@ -58,16 +55,13 @@ module Config = struct
       on_tick = (fun ~now:_ _ -> ());
       tick_every = 0.;
       retries = 5;
-      rto_mult = 2.;
-      rto_min = 1.;
-      rto_max = 1e9;
       transport = Fixed;
     }
 
   let v ?(noise = Noise.Exact) ?rng ?(start_delay = 0.) ?(msg = 1_000_000)
       ?(obs = Sink.null) ?faults ?dynamics
       ?(on_tick = fun ~now:_ _ -> ()) ?(tick_every = 0.) ?(retries = 5)
-      ?(rto_mult = 2.) ?(rto_min = 1.) ?(rto_max = 1e9) ?(transport = Fixed) () =
+      ?(transport = Fixed) () =
     {
       noise;
       rng;
@@ -79,9 +73,6 @@ module Config = struct
       on_tick;
       tick_every;
       retries;
-      rto_mult;
-      rto_min;
-      rto_max;
       transport;
     }
 
@@ -89,9 +80,6 @@ module Config = struct
     let n = Machines.count machines in
     if Plan.size plan <> n then invalid_arg (who ^ ": plan size mismatch");
     if c.retries < 0 then invalid_arg (who ^ ": negative retries");
-    if c.rto_mult < 1. then invalid_arg (who ^ ": rto_mult < 1");
-    if c.rto_min <= 0. then invalid_arg (who ^ ": rto_min must be positive");
-    if c.rto_max < c.rto_min then invalid_arg (who ^ ": rto_max < rto_min");
     if c.tick_every < 0. then invalid_arg (who ^ ": negative tick_every");
     (match c.faults with
     | Some f when Faults.size f <> n ->
@@ -156,21 +144,19 @@ let launch ?sid ?(who = "Session.launch") ~wire ~engine (config : Config.t)
       let l = if exact then l else Noise.apply noise rng l in
       let start = Wire.seize wire rank ~gap:g in
       incr transmissions;
-      if tracing then begin
+      if tracing then
         emit
-          (Event.Send_start
+          (Event.Send
              {
                src = rank;
                dst = child;
                time = start;
+               gap_end = start +. g;
+               arrival = start +. g +. l;
                msg;
                intra = intra machines rank child;
                try_no = 0;
              });
-        emit
-          (Event.Send_end
-             { src = rank; dst = child; time = start +. g; arrival = start +. g +. l })
-      end;
       Engine.schedule engine ~time:(start +. g +. l) (deliver ~src:rank child)
     done
   in
@@ -197,6 +183,12 @@ type reliable_t = {
   r_joins : Dynamics.join array;
   r_engine : Engine.t;
 }
+
+(* The static retransmission timeout: twice the model round trip, floored
+   at 1 us; each timeout doubles it, capped at 1e9 us. *)
+let rto_mult = 2.
+let rto_min = 1.
+let rto_max = 1e9
 
 (* ACK/timeout/exponential-backoff reliable broadcast along a plan.
 
@@ -239,9 +231,6 @@ let launch_reliable ?sid ?(who = "Session.launch_reliable") ~wire ~engine
     on_tick;
     tick_every;
     retries;
-    rto_mult;
-    rto_min;
-    rto_max;
     transport;
   } =
     config
@@ -455,19 +444,19 @@ let launch_reliable ?sid ?(who = "Session.launch_reliable") ~wire ~engine
       incr transmissions;
       if try_no > 0 then incr retransmissions;
       let arr = start +. g +. l in
-      if tracing then begin
+      if tracing then
         emit
-          (Event.Send_start
+          (Event.Send
              {
                src;
                dst;
                time = start;
+               gap_end = start +. g;
+               arrival = arr;
                msg;
                intra = cluster_of src = cluster_of dst;
                try_no;
              });
-        emit (Event.Send_end { src; dst; time = start +. g; arrival = arr })
-      end;
       let lost =
         lose_on src dst || (not (link_up src dst ~at:start)) || halt dst <= arr
       in

@@ -84,16 +84,15 @@ module Config : sig
         (** pure observation hook, see {!Exec.run_reliable} *)
     tick_every : float;  (** tick period, us; 0. disables *)
     retries : int;  (** retransmissions before giving an edge up *)
-    rto_mult : float;  (** initial RTO multiplier over the model round trip *)
-    rto_min : float;  (** RTO floor, us *)
-    rto_max : float;  (** backoff cap, us *)
     transport : transport;
   }
 
   val default : t
   (** The historical defaults of [Exec.run_reliable]: exact noise, fresh
       seed-0 rng, 1 MB message, no faults/dynamics/obs, 5 retries,
-      rto_mult 2., rto_min 1., rto_max 1e9, [Fixed] transport. *)
+      [Fixed] transport.  The static retransmission timeout is not
+      configurable: twice the model round trip, at least 1 us, doubled on
+      every timeout up to 1e9 us. *)
 
   val v :
     ?noise:Noise.t ->
@@ -106,9 +105,6 @@ module Config : sig
     ?on_tick:(now:float -> Adaptive.t option -> unit) ->
     ?tick_every:float ->
     ?retries:int ->
-    ?rto_mult:float ->
-    ?rto_min:float ->
-    ?rto_max:float ->
     ?transport:transport ->
     unit ->
     t
@@ -117,8 +113,7 @@ module Config : sig
   val validate : who:string -> t -> Gridb_topology.Machines.t -> Plan.t -> unit
   (** Raise [Invalid_argument] with message prefix [who] on any of the
       historical [Exec.run_reliable] argument errors (plan/fault/dynamics
-      size mismatch, negative retries, [rto_mult < 1], non-positive
-      [rto_min], [rto_max < rto_min], negative [tick_every]). *)
+      size mismatch, negative retries, negative [tick_every]). *)
 end
 
 type t

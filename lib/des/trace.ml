@@ -8,24 +8,13 @@ type transmission = {
 }
 
 let of_events events =
-  (* Executors emit [Send_start]/[Send_end] back to back per transmission,
-     but pairing by directed link keeps this robust to interleaved streams
-     (several links in flight at once). *)
-  let open_start : (int * int, Gridb_obs.Event.t) Hashtbl.t = Hashtbl.create 64 in
-  let out = ref [] in
-  List.iter
+  List.filter_map
     (fun (e : Gridb_obs.Event.t) ->
       match Gridb_obs.Event.untag e with
-      | Send_start { src; dst; _ } as e -> Hashtbl.replace open_start (src, dst) e
-      | Send_end { src; dst; time; arrival } -> (
-          match Hashtbl.find_opt open_start (src, dst) with
-          | Some (Send_start { time = start; msg; _ }) ->
-              Hashtbl.remove open_start (src, dst);
-              out := { src; dst; start; gap_end = time; arrival; msg } :: !out
-          | _ -> ())
-      | _ -> ())
-    events;
-  List.rev !out
+      | Send { src; dst; time; gap_end; arrival; msg; _ } ->
+          Some { src; dst; start = time; gap_end; arrival; msg }
+      | _ -> None)
+    events
 
 let sender_busy_time trace =
   let tbl = Hashtbl.create 16 in

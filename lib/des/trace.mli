@@ -18,12 +18,11 @@ type transmission = {
 }
 
 val of_events : Gridb_obs.Event.t list -> transmission list
-(** Reconstruct transmissions from a chronological observability stream:
-    each [Send_end] is paired with the latest open [Send_start] of the same
-    directed link.  Unpaired starts and all other events are ignored.  The
-    result is in emission order (not sorted by arrival); {!pp} sorts by
-    arrival itself, and {!critical_path} takes the first of equal
-    candidates in list order. *)
+(** The transmissions of an observability stream: one per [Send] event
+    (tagged or not); all other events are ignored.  The result is in
+    emission order (not sorted by arrival); {!pp} sorts by arrival itself,
+    and {!critical_path} takes the first of equal candidates in list
+    order. *)
 
 val sender_busy_time : transmission list -> (int * float) list
 (** Total NIC occupancy per sending rank, descending. *)

@@ -1,15 +1,16 @@
 type heap_op = Rescore | Drop
 
 type t =
-  | Send_start of {
+  | Send of {
       src : int;
       dst : int;
       time : float;
+      gap_end : float;
+      arrival : float;
       msg : int;
       intra : bool;
       try_no : int;
     }
-  | Send_end of { src : int; dst : int; time : float; arrival : float }
   | Arrival of { src : int; dst : int; time : float }
   | Ack of { src : int; dst : int; time : float }
   | Retransmit of { src : int; dst : int; time : float; try_no : int; rto : float }
@@ -96,13 +97,10 @@ let rec to_json = function
   | e -> to_json_untagged e
 
 and to_json_untagged = function
-  | Send_start { src; dst; time; msg; intra; try_no } ->
-      obj "send_start"
-        [ I ("src", src); I ("dst", dst); F ("t", time); I ("msg", msg);
-          B ("intra", intra); I ("try", try_no) ]
-  | Send_end { src; dst; time; arrival } ->
-      obj "send_end"
-        [ I ("src", src); I ("dst", dst); F ("t", time); F ("arrival", arrival) ]
+  | Send { src; dst; time; gap_end; arrival; msg; intra; try_no } ->
+      obj "send"
+        [ I ("src", src); I ("dst", dst); F ("t", time); F ("gap_end", gap_end);
+          F ("arrival", arrival); I ("msg", msg); B ("intra", intra); I ("try", try_no) ]
   | Arrival { src; dst; time } ->
       obj "arrival" [ I ("src", src); I ("dst", dst); F ("t", time) ]
   | Ack { src; dst; time } -> obj "ack" [ I ("src", src); I ("dst", dst); F ("t", time) ]
@@ -309,23 +307,17 @@ let of_json line =
     in
     wrap
       (match ev with
-    | "send_start" ->
-        Send_start
+    | "send" ->
+        Send
           {
             src = geti fields "src";
             dst = geti fields "dst";
             time = getf fields "t";
+            gap_end = getf fields "gap_end";
+            arrival = getf fields "arrival";
             msg = geti fields "msg";
             intra = getb fields "intra";
             try_no = geti fields "try";
-          }
-    | "send_end" ->
-        Send_end
-          {
-            src = geti fields "src";
-            dst = geti fields "dst";
-            time = getf fields "t";
-            arrival = getf fields "arrival";
           }
     | "arrival" ->
         Arrival { src = geti fields "src"; dst = geti fields "dst"; time = getf fields "t" }

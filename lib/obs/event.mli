@@ -2,7 +2,7 @@
     observability bus.
 
     Every instrumented layer speaks this one type: the DES executors emit
-    the data-plane events ([Send_start] .. [Give_up]), the event engine its
+    the data-plane events ([Send] .. [Reroute]), the event engine its
     timer lifecycle, simMPI its message plane, the scheduling engine its
     per-round picks, work counters and heap maintenance, MagPIe its cache
     and strategy decisions, and the repair machinery its splices.  Sinks
@@ -21,20 +21,20 @@ type heap_op =
 
 type t =
   (* DES data plane *)
-  | Send_start of {
+  | Send of {
       src : int;
       dst : int;
       time : float;  (** injection start *)
+      gap_end : float;  (** sender NIC free again: [time + g(m)] *)
+      arrival : float;
+          (** when the message reaches [dst] (if it does):
+              [gap_end + L] *)
       msg : int;  (** bytes *)
       intra : bool;  (** both ranks in the same cluster *)
       try_no : int;  (** 0 for first attempts, >= 1 for retransmissions *)
     }
-  | Send_end of {
-      src : int;
-      dst : int;
-      time : float;  (** sender NIC free again (gap end) *)
-      arrival : float;  (** when the message reaches [dst] (if it does) *)
-    }
+      (** one data transmission, the pLogP (start, gap end, arrival)
+          triple; published once, when the sender seizes its NIC *)
   | Arrival of { src : int; dst : int; time : float }
       (** [dst] holds the message (first delivery only). *)
   | Ack of { src : int; dst : int; time : float }

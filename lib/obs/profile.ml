@@ -35,8 +35,8 @@ let upd assoc k f =
   in
   go assoc
 
-(* Floats updated per event live in all-float records ([totals], [times],
-   [start]), whose fields are stored unboxed: an update allocates
+(* Floats updated per event live in all-float records ([totals],
+   [times]), whose fields are stored unboxed: an update allocates
    nothing. *)
 type totals = {
   mutable transmit : float;
@@ -50,36 +50,13 @@ type times = { mutable busy : float; mutable last_arrival : float }
 (* A session row while the stream is folded. *)
 type row = { rsid : int; mutable rsends : int; rtimes : times }
 
-type start = { mutable at : float }
-
-(* The open [Send_start] of one directed link.  A link keeps its cell
-   once seen and reuses it for every later send, so a send allocates
-   nothing.  Cells are found by an int hash of (src, dst) and chained on
-   collision through [next]. *)
-type cell = {
-  src : int;
-  dst : int;
-  start : start;
-  mutable open_ : bool;
-  mutable is_intra : bool;
-  mutable retry : bool;
-  next : cell option;
-}
-
 module Itbl = Hashtbl.Make (Int)
-
-let link_hash src dst = (src * 65_599) + dst
-
-let rec find_cell c src dst =
-  if c.src = src && c.dst = dst then c
-  else match c.next with Some c -> find_cell c src dst | None -> raise Not_found
 
 let of_events events =
   let tot = { transmit = 0.; intra = 0.; retransmit = 0.; makespan = 0. } in
   let sends = ref 0 and retransmits = ref 0 and give_ups = ref 0 in
   let circuit_opens = ref 0 and reroutes = ref 0 in
   let sheds = ref 0 and requeues = ref 0 and deadline_misses = ref 0 in
-  let cells : cell Itbl.t = Itbl.create 64 in
   let open_spans : (string, float list) Hashtbl.t = Hashtbl.create 8 in
   let spans = ref [] and counters = ref [] in
   let total = ref 0 in
@@ -100,46 +77,24 @@ let of_events events =
      a row that is never reported. *)
   let untagged = { rsid = 0; rsends = 0; rtimes = { busy = 0.; last_arrival = 0. } } in
   let row_of : Event.t -> row = function Tagged { sid; _ } -> row sid | _ -> untagged in
-  let cell src dst =
-    let h = link_hash src dst in
-    let add next =
-      let c =
-        { src; dst; start = { at = 0. }; open_ = false; is_intra = false; retry = false; next }
-      in
-      Itbl.replace cells h c;
-      c
-    in
-    match Itbl.find cells h with
-    | head -> ( try find_cell head src dst with Not_found -> add (Some head))
-    | exception Not_found -> add None
-  in
   let rec fold = function
     | [] -> ()
     | e :: rest ->
         incr total;
         (match Event.untag e with
-        | Send_start { src; dst; time; intra; try_no; _ } ->
+        | Send { time; gap_end; arrival; intra; try_no; _ } ->
             incr sends;
-            if try_no > 0 then incr retransmits;
+            tot.makespan <- Float.max tot.makespan arrival;
+            let gap = gap_end -. time in
             let r = row_of e in
             r.rsends <- r.rsends + 1;
-            let c = cell src dst in
-            c.open_ <- true;
-            c.start.at <- time;
-            c.is_intra <- intra;
-            c.retry <- try_no > 0
-        | Send_end { src; dst; time; arrival } ->
-            tot.makespan <- Float.max tot.makespan arrival;
-            let c = cell src dst in
-            if c.open_ then begin
-              c.open_ <- false;
-              let gap = time -. c.start.at in
-              let r = (row_of e).rtimes in
-              r.busy <- r.busy +. gap;
-              if c.retry then tot.retransmit <- tot.retransmit +. gap
-              else if c.is_intra then tot.intra <- tot.intra +. gap
-              else tot.transmit <- tot.transmit +. gap
+            r.rtimes.busy <- r.rtimes.busy +. gap;
+            if try_no > 0 then begin
+              incr retransmits;
+              tot.retransmit <- tot.retransmit +. gap
             end
+            else if intra then tot.intra <- tot.intra +. gap
+            else tot.transmit <- tot.transmit +. gap
         | Arrival { time; _ } ->
             tot.makespan <- Float.max tot.makespan time;
             let r = (row_of e).rtimes in

@@ -3,7 +3,7 @@
     Answers the paper's Section 7 accounting question from the unified
     bus: where did the time go?  Scheduling (host spans), inter-cluster
     transmission, intra-cluster transmission and retransmission (simulated
-    NIC occupancy, split by the [intra]/[try_no] tags of the send events),
+    NIC occupancy, split by the [intra]/[try_no] tags of the [Send] events),
     plus the named counters and span totals the producers published. *)
 
 type session_row = {
@@ -42,9 +42,8 @@ type report = {
 }
 
 val of_events : Event.t list -> report
-(** Fold a chronological stream into a report.  Send gaps are paired
-    [Send_start]/[Send_end] per directed link (the executors emit the two
-    back to back); unmatched starts contribute nothing. *)
+(** Fold a chronological stream into a report.  Each [Send] event
+    contributes its own NIC occupancy, [gap_end - time]. *)
 
 val render : report -> string
 (** Two-column text table of the rollup. *)

@@ -51,9 +51,8 @@ let print ?model ?width inst s = print_string (render ?model ?width inst s)
 
 let render_events ?(width = 72) events =
   if width < 10 then invalid_arg "Gantt.render_events: width < 10";
-  (* Collect the per-rank busy intervals straight off the bus: each
-     [Send_start]/[Send_end] pair is one NIC seizure of the sender. *)
-  let open_start : (int * int, float * bool) Hashtbl.t = Hashtbl.create 64 in
+  (* Collect the per-rank busy intervals straight off the bus: each [Send]
+     is one NIC seizure of the sender. *)
   let intervals = ref [] in
   (* (rank, start, stop, glyph) *)
   let horizon = ref 1e-9 in
@@ -61,16 +60,10 @@ let render_events ?(width = 72) events =
   List.iter
     (fun (e : Gridb_obs.Event.t) ->
       match Gridb_obs.Event.untag e with
-      | Send_start { src; dst; time; try_no; _ } ->
+      | Send { src; dst; time; gap_end; arrival; try_no; _ } ->
           max_rank := max !max_rank (max src dst);
-          Hashtbl.replace open_start (src, dst) (time, try_no > 0)
-      | Send_end { src; dst; time; arrival } -> (
           horizon := Float.max !horizon arrival;
-          match Hashtbl.find_opt open_start (src, dst) with
-          | Some (start, retry) ->
-              Hashtbl.remove open_start (src, dst);
-              intervals := (src, start, time, if retry then 'r' else '>') :: !intervals
-          | None -> ())
+          intervals := (src, time, gap_end, if try_no > 0 then 'r' else '>') :: !intervals
       | Arrival { dst; time; _ } ->
           max_rank := max !max_rank dst;
           horizon := Float.max !horizon time

@@ -151,18 +151,16 @@ let cross_check_cases () =
 
 (* --- stream invariants -------------------------------------------------- *)
 
-let ss ~src ~dst ~time =
-  Event.Send_start { src; dst; time; msg = 1000; intra = false; try_no = 0 }
+let send ~src ~dst ~time ~gap_end ~arrival =
+  Event.Send { src; dst; time; gap_end; arrival; msg = 1000; intra = false; try_no = 0 }
 
-let se ~src ~dst ~time ~arrival = Event.Send_end { src; dst; time; arrival }
 let arr ~src ~dst ~time = Event.Arrival { src; dst; time }
 
 (* A well-formed miniature stream: root 0 self-delivers, sends to 1. *)
 let good_stream =
   [
     arr ~src:0 ~dst:0 ~time:0.;
-    ss ~src:0 ~dst:1 ~time:0.;
-    se ~src:0 ~dst:1 ~time:100. ~arrival:110.;
+    send ~src:0 ~dst:1 ~time:0. ~gap_end:100. ~arrival:110.;
     arr ~src:0 ~dst:1 ~time:110.;
   ]
 
@@ -182,23 +180,26 @@ let stream_synthetic () =
     (I.stream_receive_at_most_once ~n:3
        [ arr ~src:0 ~dst:1 ~time:1.; arr ~src:2 ~dst:1 ~time:2. ]);
   violates "send without message" "stream-causality"
-    (I.stream_causality ~n:3 [ arr ~src:0 ~dst:0 ~time:0.; ss ~src:1 ~dst:2 ~time:5. ]);
+    (I.stream_causality ~n:3
+       [ arr ~src:0 ~dst:0 ~time:0.; send ~src:1 ~dst:2 ~time:5. ~gap_end:6. ~arrival:7. ]);
   violates "send before own arrival" "stream-causality"
     (I.stream_causality ~n:3
-       [ arr ~src:0 ~dst:0 ~time:0.; arr ~src:0 ~dst:1 ~time:10.; ss ~src:1 ~dst:2 ~time:5. ]);
+       [
+         arr ~src:0 ~dst:0 ~time:0.;
+         arr ~src:0 ~dst:1 ~time:10.;
+         send ~src:1 ~dst:2 ~time:5. ~gap_end:6. ~arrival:7.;
+       ]);
   violates "overlapping injections" "stream-nic-serialization"
     (I.stream_nic_serialization ~n:3
        [
-         ss ~src:0 ~dst:1 ~time:0.;
-         se ~src:0 ~dst:1 ~time:100. ~arrival:110.;
-         ss ~src:0 ~dst:2 ~time:50.;
-         se ~src:0 ~dst:2 ~time:150. ~arrival:160.;
+         send ~src:0 ~dst:1 ~time:0. ~gap_end:100. ~arrival:110.;
+         send ~src:0 ~dst:2 ~time:50. ~gap_end:150. ~arrival:160.;
        ]);
   violates "unexplained arrival" "stream-no-spontaneous-delivery"
     (I.stream_no_spontaneous_delivery ~root:0 [ arr ~src:0 ~dst:1 ~time:42. ])
 
 (* Stream invariants against a real executed run, gap conformance included;
-   the negative case tampers one Send_end of the genuine stream. *)
+   the negative case tampers one Send of the genuine stream. *)
 let stream_real_run () =
   let grid = Testutil.random_grid ~cluster_size:(1, 4) ~n:4 5 in
   let machines = Machines.expand grid in
@@ -216,13 +217,13 @@ let stream_real_run () =
   let events' =
     List.map
       (function
-        | Event.Send_end { src; dst; time; arrival } when not !tampered ->
+        | Event.Send s when not !tampered ->
             tampered := true;
-            Event.Send_end { src; dst; time = time +. 1.; arrival }
+            Event.Send { s with gap_end = s.gap_end +. 1. }
         | e -> e)
       events
   in
-  Alcotest.(check bool) "found a Send_end to tamper" true !tampered;
+  Alcotest.(check bool) "found a Send to tamper" true !tampered;
   violates "tampered gap" "stream-gap-conformance"
     (I.stream_gap_conformance ~machines ~msg events')
 

@@ -22,9 +22,12 @@ let event = Alcotest.testable Event.pp Event.equal
 
 let sample_events =
   [
-    Event.Send_start { src = 1; dst = 2; time = 3.5; msg = 1_000_000; intra = false; try_no = 0 };
-    Event.Send_start { src = 0; dst = 7; time = 0.125; msg = 64; intra = true; try_no = 3 };
-    Event.Send_end { src = 1; dst = 2; time = 10.25; arrival = 151.0625 };
+    Event.Send
+      { src = 1; dst = 2; time = 3.5; gap_end = 10.25; arrival = 151.0625; msg = 1_000_000;
+        intra = false; try_no = 0 };
+    Event.Send
+      { src = 0; dst = 7; time = 0.125; gap_end = 0.5; arrival = 2.; msg = 64; intra = true;
+        try_no = 3 };
     Event.Arrival { src = 1; dst = 2; time = 151.0625 };
     Event.Ack { src = 2; dst = 1; time = 160. };
     Event.Retransmit { src = 1; dst = 2; time = 400.; try_no = 1; rto = 512.5 };
@@ -80,7 +83,20 @@ let test_json_rejects_garbage () =
   bad "not json";
   bad "{}";
   bad "{\"ev\":\"no_such_event\"}";
-  bad "{\"ev\":\"ack\",\"src\":1}"
+  bad "{\"ev\":\"ack\",\"src\":1}";
+  (* A transmission is one "send" line; the older start/end lines are
+     unknown events. *)
+  List.iter
+    (fun line ->
+      match Event.of_json line with
+      | Error msg ->
+          Alcotest.(check bool) (msg ^ " names an unknown event") true
+            (String.length msg >= 13 && String.sub msg 0 13 = "unknown event")
+      | Ok e -> Alcotest.failf "accepted %S as %s" line (Event.to_json e))
+    [
+      "{\"ev\":\"send_start\",\"src\":1,\"dst\":2,\"t\":3.5,\"msg\":64,\"intra\":false,\"try\":0}";
+      "{\"ev\":\"send_end\",\"src\":1,\"dst\":2,\"t\":10.25,\"arrival\":151.0625}";
+    ]
 
 let float_gen =
   QCheck.Gen.(
@@ -367,7 +383,7 @@ let test_magpie_cache_and_strategy_events () =
   Alcotest.(check int) "one selection per adaptive execute" 2
     (count (function Event.Strategy_selected _ -> true | _ -> false));
   Alcotest.(check bool) "executor events flow to the same sink" true
-    (count (function Event.Send_start _ -> true | _ -> false) > 0)
+    (count (function Event.Send _ -> true | _ -> false) > 0)
 
 (* --- Robustness repair event ------------------------------------------ *)
 
@@ -450,8 +466,9 @@ let test_profile_sessions_rollup () =
   let send sid src dst t0 gap arrival =
     [
       Event.tag ~sid
-        (Event.Send_start { src; dst; time = t0; msg = 64; intra = false; try_no = 0 });
-      Event.tag ~sid (Event.Send_end { src; dst; time = t0 +. gap; arrival });
+        (Event.Send
+           { src; dst; time = t0; gap_end = t0 +. gap; arrival; msg = 64; intra = false;
+             try_no = 0 });
       Event.tag ~sid (Event.Arrival { src; dst; time = arrival });
     ]
   in
@@ -477,9 +494,8 @@ let test_profile_sessions_rollup () =
     (List.length (Profile.of_events untagged).Profile.sessions)
 
 (* The rollup as it was first written, kept as the oracle of
-   [Profile.of_events]: a tuple-keyed table of open sends, an option per
-   [Event.sid], a record copy per session tally and boxed float
-   accumulators. *)
+   [Profile.of_events]: an option per [Event.sid], a record copy per
+   session tally and boxed float accumulators. *)
 module Reference_profile = struct
   open Profile
 
@@ -497,7 +513,6 @@ module Reference_profile = struct
     let sends = ref 0 and retransmits = ref 0 and give_ups = ref 0 in
     let circuit_opens = ref 0 and reroutes = ref 0 in
     let sheds = ref 0 and requeues = ref 0 and deadline_misses = ref 0 in
-    let pending_send : (int * int, Event.t) Hashtbl.t = Hashtbl.create 64 in
     let open_spans : (string, float list) Hashtbl.t = Hashtbl.create 8 in
     let spans = ref [] and counters = ref [] in
     let total = ref 0 in
@@ -518,22 +533,15 @@ module Reference_profile = struct
         let sid = Event.sid e in
         let tally f = match sid with None -> () | Some s -> let r = session s in r := f !r in
         match Event.untag e with
-        | Send_start { src; dst; try_no; _ } as e ->
+        | Send { time; gap_end; arrival; intra = is_intra; try_no; _ } ->
             incr sends;
             if try_no > 0 then incr retransmits;
-            tally (fun r -> { r with s_sends = r.s_sends + 1 });
-            Hashtbl.replace pending_send (src, dst) e
-        | Send_end { src; dst; time; arrival } -> (
             makespan := Float.max !makespan arrival;
-            match Hashtbl.find_opt pending_send (src, dst) with
-            | Some (Send_start { time = start; intra = is_intra; try_no; _ }) ->
-                Hashtbl.remove pending_send (src, dst);
-                let gap = time -. start in
-                tally (fun r -> { r with s_busy_us = r.s_busy_us +. gap });
-                if try_no > 0 then retransmit := !retransmit +. gap
-                else if is_intra then intra := !intra +. gap
-                else transmit := !transmit +. gap
-            | _ -> ())
+            let gap = gap_end -. time in
+            tally (fun r -> { r with s_sends = r.s_sends + 1; s_busy_us = r.s_busy_us +. gap });
+            if try_no > 0 then retransmit := !retransmit +. gap
+            else if is_intra then intra := !intra +. gap
+            else transmit := !transmit +. gap
         | Arrival { time; _ } ->
             makespan := Float.max !makespan time;
             tally (fun r -> { r with s_makespan_us = Float.max r.s_makespan_us time })
@@ -579,9 +587,8 @@ module Reference_profile = struct
     }
 end
 
-(* Random streams over few links (so sends pair, re-pair and go unmatched),
-   rank ids that do not fit 31 bits or are negative, links whose int hash
-   collides ((0, 65599) and (1, 0)), nested tags, spans and counters. *)
+(* Random streams: rank ids that do not fit 31 bits or are negative,
+   unordered send times, nested tags, spans and counters. *)
 let gen_stream =
   let open QCheck.Gen in
   let rank = oneofl [ 0; 1; 2; 65_599; 1 lsl 31; (1 lsl 31) + 1; -1; -(1 lsl 40); max_int; min_int ] in
@@ -591,15 +598,11 @@ let gen_stream =
   let plain =
     frequency
       [
-        ( 4,
+        ( 8,
           map3
-            (fun (src, dst) (time, intra) try_no ->
-              Event.Send_start { src; dst; time; msg = 64; intra; try_no })
-            (pair rank rank) (pair time bool) (int_bound 2) );
-        ( 4,
-          map3
-            (fun (src, dst) time arrival -> Event.Send_end { src; dst; time; arrival })
-            (pair rank rank) time time );
+            (fun (src, dst) (time, gap_end, arrival) (intra, try_no) ->
+              Event.Send { src; dst; time; gap_end; arrival; msg = 64; intra; try_no })
+            (pair rank rank) (triple time time time) (pair bool (int_bound 2)) );
         (2, map2 (fun (src, dst) time -> Event.Arrival { src; dst; time }) (pair rank rank) time);
         (1, map (fun time -> Event.Ack { src = 0; dst = 1; time }) time);
         (1, map (fun time -> Event.Give_up { src = 0; dst = 1; time }) time);
@@ -630,8 +633,8 @@ let test_profile_matches_reference =
     (QCheck.make gen_stream)
     (fun events -> compare (Profile.of_events events) (Reference_profile.of_events events) = 0)
 
-(* Once every link and session has been seen, folding more of the same
-   traffic allocates nothing per event: a stream twice as long costs the
+(* Once every session has been seen, folding more of the same traffic
+   allocates nothing per event: a stream twice as long costs the
    same words, give or take the list walk's constant. *)
 let test_profile_allocation_flat () =
   let stream reps =
@@ -640,8 +643,9 @@ let test_profile_allocation_flat () =
            let sid = i mod 4 and src = i mod 3 and t = float_of_int i in
            [
              Event.tag ~sid
-               (Event.Send_start { src; dst = src + 1; time = t; msg = 64; intra = false; try_no = 0 });
-             Event.tag ~sid (Event.Send_end { src; dst = src + 1; time = t +. 1.; arrival = t +. 2. });
+               (Event.Send
+                  { src; dst = src + 1; time = t; gap_end = t +. 1.; arrival = t +. 2.; msg = 64;
+                    intra = false; try_no = 0 });
              Event.tag ~sid (Event.Arrival { src; dst = src + 1; time = t +. 2. });
            ]))
   in

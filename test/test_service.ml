@@ -784,17 +784,18 @@ let test_server_chaotic_jobs_invariant () =
 
 (* --- multi-session invariants on synthetic streams --------------------- *)
 
+let tagged_send ~sid ~dst ~time ~gap_end ~arrival =
+  Event.tag ~sid
+    (Event.Send
+       { src = 0; dst; time; gap_end; arrival; msg = 64; intra = false; try_no = 0 })
+
 let test_sessions_nic_serialization_catches_overlap () =
   (* Two sessions drive rank 0's NIC at overlapping times — exactly what a
      shared wire must prevent. *)
   let events =
     [
-      Event.tag ~sid:0
-        (Event.Send_start { src = 0; dst = 1; time = 0.; msg = 64; intra = false; try_no = 0 });
-      Event.tag ~sid:0 (Event.Send_end { src = 0; dst = 1; time = 100.; arrival = 110. });
-      Event.tag ~sid:1
-        (Event.Send_start { src = 0; dst = 2; time = 50.; msg = 64; intra = false; try_no = 0 });
-      Event.tag ~sid:1 (Event.Send_end { src = 0; dst = 2; time = 150.; arrival = 160. });
+      tagged_send ~sid:0 ~dst:1 ~time:0. ~gap_end:100. ~arrival:110.;
+      tagged_send ~sid:1 ~dst:2 ~time:50. ~gap_end:150. ~arrival:160.;
     ]
   in
   match I.sessions_nic_serialization ~n:3 events with
@@ -806,12 +807,8 @@ let test_sessions_nic_serialization_catches_overlap () =
 let test_sessions_nic_serialization_allows_disjoint () =
   let events =
     [
-      Event.tag ~sid:0
-        (Event.Send_start { src = 0; dst = 1; time = 0.; msg = 64; intra = false; try_no = 0 });
-      Event.tag ~sid:0 (Event.Send_end { src = 0; dst = 1; time = 100.; arrival = 110. });
-      Event.tag ~sid:1
-        (Event.Send_start { src = 0; dst = 2; time = 100.; msg = 64; intra = false; try_no = 0 });
-      Event.tag ~sid:1 (Event.Send_end { src = 0; dst = 2; time = 200.; arrival = 210. });
+      tagged_send ~sid:0 ~dst:1 ~time:0. ~gap_end:100. ~arrival:110.;
+      tagged_send ~sid:1 ~dst:2 ~time:100. ~gap_end:200. ~arrival:210.;
       (* Untagged noise is ignored. *)
       Event.Counter { name = "plan_cache.hits"; value = 3 };
     ]
