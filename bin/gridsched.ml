@@ -11,6 +11,8 @@ module Instance = Gridb_sched.Instance
 module Schedule = Gridb_sched.Schedule
 module Topology = Gridb_topology
 
+let ( let* ) = Result.bind
+
 (* Numeric flags restricted to the values the commands can run on, so that
    a bad value is a usage error naming the flag, never an exception or a
    hang.  Infinity is accepted only where it means "no limit".  Ranges that
@@ -110,16 +112,59 @@ let in_range flag ~size v =
       (Printf.sprintf "--%s %d is out of range: the topology has %d (0..%d)" flag v
          size (size - 1))
 
-(* [load_grid] plus the check that [--root] names one of its clusters. *)
-let load_rooted topology root =
-  Result.bind (load_grid topology) (fun grid ->
-      Result.map (fun () -> grid) (in_range "root" ~size:(Topology.Grid.size grid) root))
+(* Every number in a topology file can be finite while their sums are
+   not (every inter-cluster gap at 1e308): refuse such a topology once,
+   here, for every subcommand that plans or simulates on it, rather than
+   print inf and nan.  The upper bound on every schedule's makespan must
+   be finite at each message size in play. *)
+let finite_at topology grid msgs =
+  let overflow msg =
+    let bound = Gridb_sched.Bounds.upper (Instance.of_grid ~root:0 ~msg grid) in
+    if Float.is_finite bound then None else Some (msg, bound)
+  in
+  match List.find_map overflow msgs with
+  | None -> Ok ()
+  | Some (msg, bound) ->
+      Error
+        (Printf.sprintf "%s: a %s broadcast has a non-finite makespan bound (%g us)"
+           (Option.value topology ~default:"GRID5000")
+           (Gridb_util.Units.bytes_to_string msg) bound)
+
+(* [load_grid], the check that [--root] (when given) names one of its
+   clusters, and [finite_at] for a [msg]-byte broadcast. *)
+let load_finite ?root topology ~msg =
+  let* grid = load_grid topology in
+  let* () =
+    match root with
+    | None -> Ok ()
+    | Some root -> in_range "root" ~size:(Topology.Grid.size grid) root
+  in
+  let* () = finite_at topology grid [ msg ] in
+  Ok grid
+
+(* Run [f] with [Some (path, sink)] streaming JSON Lines to [--trace]'s
+   file, or [None].  The file is opened before [f] runs, so an unwritable
+   path is an error rather than an exception after the work is done. *)
+let with_trace trace f =
+  match trace with
+  | None -> Ok (f None)
+  | Some path ->
+      Result.map_error
+        (fun e -> "cannot write trace " ^ e)
+        (Gridb_obs.Sink.with_jsonl path (fun js -> f (Some (path, js))))
+
+(* The exit status of a subcommand whose setup may fail. *)
+let exit_code = function
+  | Ok code -> code
+  | Error e ->
+      prerr_endline e;
+      1
 
 (* --- schedule: run one heuristic on a topology and print the schedule --- *)
 
 let schedule_cmd =
   let run heuristic topology msg root gantt improve mode =
-    match load_rooted topology root with
+    match load_finite ~root topology ~msg with
     | Error e ->
         prerr_endline e;
         1
@@ -162,7 +207,7 @@ let schedule_cmd =
 
 let compare_cmd =
   let run topology msg root mode =
-    match load_rooted topology root with
+    match load_finite ~root topology ~msg with
     | Error e ->
         prerr_endline e;
         1
@@ -365,7 +410,7 @@ let cluster_cmd =
 
 let optimal_cmd =
   let run topology msg root =
-    match load_rooted topology root with
+    match load_finite ~root topology ~msg with
     | Error e ->
         prerr_endline e;
         1
@@ -505,31 +550,24 @@ let trace_arg =
 
 let simulate_cmd =
   let run policy topology msg seed faults dynamics retries transport reps jitter jobs trace =
-    match load_grid topology with
-    | Error e ->
-        prerr_endline e;
-        1
-    | Ok grid ->
+    exit_code
+    @@
+    let* grid = load_finite topology ~msg in
+    with_trace trace (fun traced ->
         let noise =
           if jitter > 0. then Gridb_des.Noise.Lognormal jitter else Gridb_des.Noise.Exact
         in
         let repetitions = if reps > 0 then Some reps else None in
-        let robustness obs =
-          Gridb_experiments.Robustness.run ~policy ~msg ~retries ~seed ~noise ?obs
-            ~transport ~dyn:dynamics ?repetitions ~jobs ~spec:faults grid
-        in
-        let metrics, traced =
-          match trace with
-          | Some path ->
-              Gridb_obs.Sink.with_jsonl path (fun obs ->
-                  let m = robustness (Some obs) in
-                  (m, Some (path, Gridb_obs.Sink.count obs)))
-          | None -> (robustness None, None)
+        let metrics =
+          Gridb_experiments.Robustness.run ~policy ~msg ~retries ~seed ~noise
+            ?obs:(Option.map snd traced) ~transport ~dyn:dynamics ?repetitions ~jobs
+            ~spec:faults grid
         in
         print_string (Gridb_experiments.Robustness.render metrics);
-        (match traced with
-        | Some (path, count) -> Printf.printf "trace: %d events -> %s\n" count path
-        | None -> ());
+        Option.iter
+          (fun (path, js) ->
+            Printf.printf "trace: %d events -> %s\n" (Gridb_obs.Sink.count js) path)
+          traced;
         (match metrics.Gridb_experiments.Robustness.partition_drift with
         | Some d when d > 0. ->
             Printf.eprintf
@@ -538,7 +576,7 @@ let simulate_cmd =
                replanning.\n"
               d
         | _ -> ());
-        0
+        0)
   in
   let faults =
     Arg.(
@@ -615,35 +653,32 @@ let simulate_cmd =
 
 let profile_cmd =
   let run policy topology msg root gantt trace =
-    match load_rooted topology root with
-    | Error e ->
-        prerr_endline e;
-        1
-    | Ok grid ->
+    exit_code
+    @@
+    let* grid = load_finite ~root topology ~msg in
+    with_trace trace (fun traced ->
         (* One Memory sink observes the whole pipeline: a host-time span
            around scheduling, then the rank-level DES execution. *)
         let mem = Gridb_obs.Sink.memory () in
         let inst = Instance.of_grid ~root ~msg grid in
         let schedule =
-          Gridb_obs.Span.wrap mem "schedule" (fun () ->
-              Engine.run ~obs:mem policy inst)
+          Gridb_obs.Span.wrap mem "schedule" (fun () -> Engine.run ~obs:mem policy inst)
         in
         let machines = Topology.Machines.expand grid in
         let plan = Gridb_des.Plan.of_cluster_schedule machines schedule in
         ignore (Gridb_des.Exec.run ~msg ~obs:mem machines plan);
         let events = Gridb_obs.Sink.events mem in
         Printf.printf "profile: %s, %s, %s\n" (Policy.name policy)
-          (match topology with None -> "GRID5000" | Some path -> path)
+          (Option.value topology ~default:"GRID5000")
           (Gridb_util.Units.bytes_to_string msg);
         print_string (Gridb_obs.Profile.render (Gridb_obs.Profile.of_events events));
         if gantt then print_string (Gridb_sched.Gantt.render_events events);
-        (match trace with
-        | Some path ->
-            Gridb_obs.Sink.with_jsonl path (fun js ->
-                List.iter (Gridb_obs.Sink.emit js) events);
-            Printf.printf "trace: %d events -> %s\n" (List.length events) path
-        | None -> ());
-        0
+        Option.iter
+          (fun (path, js) ->
+            List.iter (Gridb_obs.Sink.emit js) events;
+            Printf.printf "trace: %d events -> %s\n" (List.length events) path)
+          traced;
+        0)
   in
   let gantt =
     Arg.(value & flag & info [ "gantt" ] ~doc:"Also render the executed-run event Gantt chart.")
@@ -757,54 +792,46 @@ let serve_cmd =
   let run topology rate duration seed jobs transport max_concurrent max_backlog smoke
       profile trace mix faults dynamics retry_budget retry_backoff shed_watermark
       shed_open_frac =
-    match load_grid topology with
-    | Error e ->
-        prerr_endline e;
-        1
-    | Ok grid -> (
-        let machines = Topology.Machines.expand grid in
-        let requests =
-          let mix =
-            match mix with
-            | None -> Ok None
-            | Some s ->
-                Result.map Option.some (Gridb_service.Workload.mix_of_string machines s)
-          in
-          (* The flags are checked, but a tiny rate can still underflow once
-             converted to requests per us. *)
-          Result.bind mix (fun mix ->
-              match
-                Gridb_service.Workload.generate ?mix ~seed ~rate:(rate /. 1e6) ~duration
-                  machines
-              with
-              | requests -> Ok requests
-              | exception Invalid_argument e -> Error e)
-        in
-        match requests with
-        | Error e ->
-            prerr_endline e;
-            1
-        | Ok requests ->
+    exit_code
+    @@
+    let* grid = load_grid topology in
+    let machines = Topology.Machines.expand grid in
+    let* mix =
+      match mix with
+      | None -> Ok None
+      | Some s -> Result.map Option.some (Gridb_service.Workload.mix_of_string machines s)
+    in
+    (* The flags are checked, but a tiny rate can still underflow once
+       converted to requests per us. *)
+    let* requests =
+      match
+        Gridb_service.Workload.generate ?mix ~seed ~rate:(rate /. 1e6) ~duration machines
+      with
+      | requests -> Ok requests
+      | exception Invalid_argument e -> Error e
+    in
+    let* () =
+      finite_at topology grid
+        (List.sort_uniq compare (List.map (fun r -> r.Gridb_service.Workload.msg) requests))
+    in
+    with_trace trace (fun traced ->
         let shed =
           match (shed_watermark, shed_open_frac) with
           | None, None -> Gridb_service.Admission.no_shed
-          | w, f ->
-              Gridb_service.Admission.shed ?watermark_us:w ?max_open_frac:f ()
+          | w, f -> Gridb_service.Admission.shed ?watermark_us:w ?max_open_frac:f ()
         in
         let admission =
-          Gridb_service.Admission.create ~max_concurrent
-            ?max_backlog_us:max_backlog ~shed ()
+          Gridb_service.Admission.create ~max_concurrent ?max_backlog_us:max_backlog ~shed ()
         in
         let retry =
           { Gridb_service.Server.budget = retry_budget; backoff_us = retry_backoff }
         in
         let mem =
-          if profile || trace <> None then Gridb_obs.Sink.memory ()
-          else Gridb_obs.Sink.null
+          if profile || traced <> None then Gridb_obs.Sink.memory () else Gridb_obs.Sink.null
         in
         let report =
-          Gridb_service.Server.run ~jobs ~transport ~admission ~obs:mem
-            ~seed:(seed + 1) ?faults ?dynamics ~retry machines requests
+          Gridb_service.Server.run ~jobs ~transport ~admission ~obs:mem ~seed:(seed + 1)
+            ?faults ?dynamics ~retry machines requests
         in
         List.iter print_endline (Gridb_service.Server.smoke_lines report);
         if not smoke then
@@ -819,12 +846,11 @@ let serve_cmd =
           (* The per-request rows come from the sid tags the sessions put
              on every event they publish. *)
           print_string (Gridb_obs.Profile.render (Gridb_obs.Profile.of_events events));
-        (match trace with
-        | Some path ->
-            Gridb_obs.Sink.with_jsonl path (fun js ->
-                List.iter (Gridb_obs.Sink.emit js) events);
-            Printf.printf "trace: %d events -> %s\n" (List.length events) path
-        | None -> ());
+        Option.iter
+          (fun (path, js) ->
+            List.iter (Gridb_obs.Sink.emit js) events;
+            Printf.printf "trace: %d events -> %s\n" (List.length events) path)
+          traced;
         0)
   in
   let rate =

@@ -235,6 +235,19 @@ let estimated_params t ~src ~dst nominal =
   let q = quality t ~src ~dst in
   if q = 1. then nominal else Params.rescale ~gap_factor:q ~latency_factor:q nominal
 
+let estimated_instance t machines (inst : Gridb_sched.Instance.t) =
+  let nc = inst.n in
+  let q c d =
+    if c = d then 1.
+    else
+      quality t
+        ~src:(Gridb_topology.Machines.coordinator machines c)
+        ~dst:(Gridb_topology.Machines.coordinator machines d)
+  in
+  let scale m = Array.init nc (fun i -> Array.init nc (fun j -> m.(i).(j) *. q i j)) in
+  Gridb_sched.Instance.v ~root:inst.root ~latency:(scale inst.latency) ~gap:(scale inst.gap)
+    ~intra:inst.intra
+
 let estimated_latency_matrix ?(symmetric = false) t ~nominal =
   let e i j = if i = j then 0. else quality t ~src:i ~dst:j *. nominal ~src:i ~dst:j in
   Array.init t.n (fun i ->

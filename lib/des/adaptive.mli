@@ -155,6 +155,14 @@ val estimated_params : t -> src:int -> dst:int -> Gridb_plogp.Params.t -> Gridb_
     {!Gridb_plogp.Params.t}-shaped view of the live estimate that
     {!Gridb_sched.Repair} and the policies can replan on. *)
 
+val estimated_instance :
+  t -> Gridb_topology.Machines.t -> Gridb_sched.Instance.t -> Gridb_sched.Instance.t
+(** Cluster-level estimated instance: {!quality} on the
+    coordinator-to-coordinator links rescales the nominal inter-cluster
+    gap and latency matrices (intra-cluster times unchanged) — the live
+    view lifted to the scheduling layer, which post-crash repair and the
+    service's retry replans run on. *)
+
 val estimated_latency_matrix :
   ?symmetric:bool -> t -> nominal:(src:int -> dst:int -> float) -> float array array
 (** Full [n x n] estimated latency matrix: entry [(i, j)] is

@@ -14,20 +14,12 @@ let seconds us = us /. 1e6
 
 let ns = [ 5; 10; 15; 20; 25; 30; 35; 40; 45; 50 ]
 
-let transpose points extract =
-  match points with
-  | [] -> []
-  | first :: _ ->
-      let k = List.length (extract first) in
-      List.init k (fun col ->
-          List.map (fun p -> (float_of_int p.Sweep.n, List.nth (extract p) col)) points)
-
 let sweep_figure config ~id ~title ~extract ~y_label heuristics =
   let points = Sweep.run config ~ns heuristics in
   let series =
     List.combine
       (List.map Policy.name heuristics)
-      (transpose points extract)
+      (Sweep.transpose points extract)
   in
   { Report.id; title; x_label = "clusters"; y_label; series; notes = [] }
 
@@ -92,7 +84,7 @@ let completion_models config =
     List.map2
       (fun name column -> (name ^ label, column))
       [ "ECEF"; "ECEF-LAT" ]
-      (transpose points Sweep.mean_seconds)
+      (Sweep.transpose points Sweep.mean_seconds)
   in
   {
     Report.id = "abl-completion";

@@ -115,7 +115,7 @@ let run ?(policy = Policy.ecef_la) ?(msg = 1_000_000) ?(retries = 5) ?(seed = 0)
     | Some est ->
         ( Robustness.partition_drift est machines,
           divergence est,
-          Robustness.estimated_instance est machines inst )
+          Gridb_des.Adaptive.estimated_instance est machines inst )
   in
   let decision =
     Replan.decide thresholds ~drift:final_drift ~divergence:final_divergence ~departed

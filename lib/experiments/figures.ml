@@ -9,22 +9,10 @@ let seconds us = us /. 1e6
 
 let labels heuristics = List.map Policy.name heuristics
 
-let transpose_points points extract =
-  (* points: Sweep.point list; extract: point -> per-heuristic float list.
-     Result: per-heuristic (x, y) lists. *)
-  match points with
-  | [] -> []
-  | first :: _ ->
-      let k = List.length (extract first) in
-      List.init k (fun col ->
-          List.map
-            (fun p -> (float_of_int p.Sweep.n, List.nth (extract p) col))
-            points)
-
 let makespan_figure config ~id ~title ~ns heuristics =
   let points = Sweep.run config ~ns heuristics in
   let series =
-    List.combine (labels heuristics) (transpose_points points Sweep.mean_seconds)
+    List.combine (labels heuristics) (Sweep.transpose points Sweep.mean_seconds)
   in
   {
     Report.id;
@@ -62,7 +50,7 @@ let fig3_ecef_zoom config =
 let hit_figure config ~id ~model_name =
   let points = Sweep.run config ~ns:large_ns Policy.ecef_family in
   let series =
-    List.combine (labels Policy.ecef_family) (transpose_points points Sweep.hits)
+    List.combine (labels Policy.ecef_family) (Sweep.transpose points Sweep.hits)
   in
   {
     Report.id;

@@ -44,23 +44,6 @@ type metrics = {
   summary : Exec.reliable_summary option;
 }
 
-(* Cluster-level estimated instance: the estimator's per-link quality on the
-   coordinator-to-coordinator links rescales the nominal inter-cluster gap
-   and latency matrices — the Params-shaped live view, lifted to the
-   scheduling layer, so Repair replans on measured numbers. *)
-let estimated_instance est machines inst =
-  let nc = inst.Instance.n in
-  let q c d =
-    if c = d then 1.
-    else
-      Adaptive.quality est
-        ~src:(Machines.coordinator machines c)
-        ~dst:(Machines.coordinator machines d)
-  in
-  let scale m = Array.init nc (fun i -> Array.init nc (fun j -> m.(i).(j) *. q i j)) in
-  Instance.v ~root:inst.Instance.root ~latency:(scale inst.Instance.latency)
-    ~gap:(scale inst.Instance.gap) ~intra:inst.Instance.intra
-
 (* Machine-level partition drift: Lowekamp re-run on the estimator's live
    latency matrix (planning-time ranks only — joins have no planning-time
    pairing to diff against), compared by Rand index against the partition
@@ -141,7 +124,9 @@ let run ?(policy = Policy.ecef_la) ?(msg = 1_000_000) ?(retries = 5) ?(seed = 0)
         | None -> None
         | Some est ->
             let o' =
-              Repair.repair ~policy (estimated_instance est machines inst) schedule ~crash
+              Repair.repair ~policy
+                (Adaptive.estimated_instance est machines inst)
+                schedule ~crash
             in
             Some o'.Repair.makespan
       in

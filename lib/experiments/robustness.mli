@@ -55,17 +55,6 @@ type metrics = {
           fault draws; [None] unless [repetitions] was given *)
 }
 
-val estimated_instance :
-  Gridb_des.Adaptive.t ->
-  Gridb_topology.Machines.t ->
-  Gridb_sched.Instance.t ->
-  Gridb_sched.Instance.t
-(** Cluster-level estimated instance: the estimator's per-link quality on
-    the coordinator-to-coordinator links rescales the nominal
-    inter-cluster gap and latency matrices — the live measured view lifted
-    to the scheduling layer, which {!Gridb_sched.Repair} and
-    {!Dynamics.run} replan on. *)
-
 val partition_drift : Gridb_des.Adaptive.t -> Gridb_topology.Machines.t -> float
 (** [1 - Rand index] between the Lowekamp partition of the nominal machine
     latency matrix and that of the estimator's live

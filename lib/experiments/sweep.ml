@@ -18,6 +18,14 @@ let mean_seconds point =
 
 let hits point = List.map (fun o -> float_of_int o.Hit_rate.hits) point.outcomes
 
+let transpose points extract =
+  match points with
+  | [] -> []
+  | first :: _ ->
+      let k = List.length (extract first) in
+      List.init k (fun col ->
+          List.map (fun p -> (float_of_int p.n, List.nth (extract p) col)) points)
+
 let max_stderr_seconds points =
   List.fold_left
     (fun acc p ->

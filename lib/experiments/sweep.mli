@@ -20,6 +20,10 @@ val mean_seconds : point -> float list
 val hits : point -> float list
 (** Hit counts of the point's outcomes (Figure 4's y axis). *)
 
+val transpose : point list -> (point -> float list) -> (float * float) list list
+(** [transpose points extract]: one [(n, y)] series per heuristic from
+    per-point rows [extract p] (e.g. {!mean_seconds}), ready to plot. *)
+
 val max_stderr_seconds : point list -> float
 (** Largest standard error of any plotted mean, in seconds — quoted in the
     figures' notes so readers can judge whether curve gaps are signal. *)

@@ -8,8 +8,9 @@ let memory () = Memory { events = []; count = 0 }
 let jsonl oc = Jsonl { oc; count = 0 }
 
 let with_jsonl path f =
-  let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> f (jsonl oc))
+  match open_out path with
+  | exception Sys_error e -> Error e
+  | oc -> Ok (Fun.protect ~finally:(fun () -> close_out oc) (fun () -> f (jsonl oc)))
 
 let enabled = function Null -> false | Memory _ | Jsonl _ -> true
 
@@ -31,17 +32,20 @@ let count = function
   | Memory { count; _ } | Jsonl { count; _ } -> count
 
 let read path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      let rec go lineno acc =
-        match input_line ic with
-        | exception End_of_file -> Ok (List.rev acc)
-        | line when String.trim line = "" -> go (lineno + 1) acc
-        | line -> (
-            match Event.of_json line with
-            | Ok e -> go (lineno + 1) (e :: acc)
-            | Error msg -> Error (Printf.sprintf "%s:%d: %s" path lineno msg))
-      in
-      go 1 [])
+  match open_in path with
+  | exception Sys_error e -> Error e
+  | ic ->
+      Fun.protect
+        ~finally:(fun () -> close_in ic)
+        (fun () ->
+          let rec go lineno acc =
+            match input_line ic with
+            | exception End_of_file -> Ok (List.rev acc)
+            | exception Sys_error e -> Error e
+            | line when String.trim line = "" -> go (lineno + 1) acc
+            | line -> (
+                match Event.of_json line with
+                | Ok e -> go (lineno + 1) (e :: acc)
+                | Error msg -> Error (Printf.sprintf "%s:%d: %s" path lineno msg))
+          in
+          go 1 [])

@@ -28,9 +28,10 @@ val memory : unit -> t
 val jsonl : out_channel -> t
 (** Streaming sink on an already-open channel (not closed by this module). *)
 
-val with_jsonl : string -> (t -> 'a) -> 'a
+val with_jsonl : string -> (t -> 'a) -> ('a, string) result
 (** [with_jsonl path f] opens [path], runs [f] with a [Jsonl] sink and
-    closes the file (also on exceptions). *)
+    closes the file (also on exceptions).  [Error] (the system's reason,
+    [f] not run) when [path] cannot be opened for writing. *)
 
 val enabled : t -> bool
 (** [false] only for [Null].  Producers must test this before building an
@@ -47,4 +48,5 @@ val count : t -> int
 
 val read : string -> (Event.t list, string) result
 (** Parse a JSONL trace file back into events (blank lines skipped).
-    [Error] reports the first offending line and reason. *)
+    [Error] reports the first offending line and reason, or why the file
+    cannot be read (missing, a directory, no permission). *)

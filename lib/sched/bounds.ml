@@ -66,6 +66,19 @@ let root_gap_bound inst =
 let combined inst =
   Float.max (completion_bound inst) (Float.max (fanout_bound inst) (root_gap_bound inst))
 
+let upper inst =
+  let n = inst.Instance.n in
+  let chain = ref 0. and tmax = ref 0. in
+  for j = 0 to n - 1 do
+    let worst = ref 0. in
+    for i = 0 to n - 1 do
+      if i <> j then worst := Float.max !worst (Instance.send_time inst i j)
+    done;
+    chain := !chain +. !worst;
+    tmax := Float.max !tmax inst.Instance.intra.(j)
+  done;
+  !chain +. !tmax
+
 let gap_ratio inst makespan =
   if makespan < 0. then invalid_arg "Bounds.gap_ratio: negative makespan";
   let lb = combined inst in

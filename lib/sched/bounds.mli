@@ -1,4 +1,4 @@
-(** Lower bounds on the broadcast makespan.
+(** Lower bounds on the broadcast makespan, and one upper bound.
 
     The paper sidesteps optimality ("it is too expensive to find the optimal
     schedule") by scoring heuristics against each other.  These analytic
@@ -32,6 +32,14 @@ val root_gap_bound : Instance.t -> float
 
 val combined : Instance.t -> float
 (** Maximum of all bounds — still a lower bound. *)
+
+val upper : Instance.t -> float
+(** [sum_j max_(i <> j) (g_ij + L_ij) + max_k T_k]: no schedule that
+    starts every send as soon as its sender holds the message and its NIC
+    is free (every heuristic's, and hence the optimum) takes longer, from
+    any root — the chain of sends behind the last completion uses each
+    transmission at most once.  Finite iff no such makespan can overflow
+    to [inf]. *)
 
 val gap_ratio : Instance.t -> float -> float
 (** [gap_ratio inst makespan = makespan /. combined inst]: >= 1 for valid

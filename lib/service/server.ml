@@ -109,23 +109,6 @@ let policy_of name =
   | Some p -> p
   | None -> invalid_arg (Printf.sprintf "Server.run: unknown policy %S" name)
 
-(* Cluster-level live view for retry replanning: the retry's estimator
-   rescales the nominal inter-cluster latency/gap matrices by the measured
-   per-link quality on coordinator-to-coordinator links — the same lift
-   {!Gridb_experiments.Robustness} uses for post-crash replans. *)
-let estimated_instance est machines (inst : Instance.t) =
-  let nc = inst.Instance.n in
-  let q c d =
-    if c = d then 1.
-    else
-      Adaptive.quality est
-        ~src:(Machines.coordinator machines c)
-        ~dst:(Machines.coordinator machines d)
-  in
-  let scale m = Array.init nc (fun i -> Array.init nc (fun j -> m.(i).(j) *. q i j)) in
-  Instance.v ~root:inst.Instance.root ~latency:(scale inst.Instance.latency)
-    ~gap:(scale inst.Instance.gap) ~intra:inst.Instance.intra
-
 let count_delivered arr lo hi =
   let c = ref 0 in
   for k = lo to hi - 1 do
@@ -268,6 +251,22 @@ let run ?(jobs = 1) ?transport ?admission ?cache ?(obs = Sink.null) ?(seed = 0)
   let sheds = ref 0 in
   let shed_by = Array.make nreq 0 in
   let emit ev = if Sink.enabled obs then Sink.emit obs ev in
+  (* A rejection at [time] that sheds the request is counted and published;
+     other rejections only show in the outcome. *)
+  let on_reject (r : Workload.request) reason ~time =
+    if Admission.is_shed reason then begin
+      incr sheds;
+      shed_by.(r.Workload.rid) <- shed_by.(r.Workload.rid) + 1;
+      emit
+        (Event.Shed
+           {
+             rid = r.Workload.rid;
+             priority = Workload.priority_to_string r.Workload.priority;
+             reason = Admission.reason_string reason;
+             time;
+           })
+    end
+  in
   let partial =
     Array.mapi
       (fun i (r : Workload.request) ->
@@ -294,18 +293,7 @@ let run ?(jobs = 1) ?transport ?admission ?cache ?(obs = Sink.null) ?(seed = 0)
             let session =
               match decision with
               | Admission.Reject reason ->
-                  if Admission.is_shed reason then begin
-                    incr sheds;
-                    shed_by.(r.Workload.rid) <- 1;
-                    emit
-                      (Event.Shed
-                         {
-                           rid = r.Workload.rid;
-                           priority = Workload.priority_to_string r.Workload.priority;
-                           reason = Admission.reason_string reason;
-                           time = r.Workload.at;
-                         })
-                  end;
+                  on_reject r reason ~time:r.Workload.at;
                   None
               | Admission.Admit ->
                   Some (launch r ~attempt:0 ~start_delay:r.Workload.at (Lazy.force plan))
@@ -389,18 +377,7 @@ let run ?(jobs = 1) ?transport ?admission ?cache ?(obs = Sink.null) ?(seed = 0)
                 ~now:retry_at ~predicted_makespan:predicted
             with
             | Admission.Reject reason ->
-                if Admission.is_shed reason then begin
-                  incr sheds;
-                  shed_by.(rid) <- shed_by.(rid) + 1;
-                  emit
-                    (Event.Shed
-                       {
-                         rid;
-                         priority = Workload.priority_to_string r.Workload.priority;
-                         reason = Admission.reason_string reason;
-                         time = retry_at;
-                       })
-                end;
+                on_reject r reason ~time:retry_at;
                 None
             | Admission.Admit ->
                 let estimator = prev.Session.estimator in
@@ -411,7 +388,7 @@ let run ?(jobs = 1) ?transport ?admission ?cache ?(obs = Sink.null) ?(seed = 0)
                   in
                   let inst =
                     match estimator with
-                    | Some est -> estimated_instance est machines inst
+                    | Some est -> Adaptive.estimated_instance est machines inst
                     | None -> inst
                   in
                   Sched_engine.run h inst

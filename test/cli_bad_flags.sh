@@ -4,10 +4,13 @@
 # exception (exit 125) or a silently accepted value.  Values that are bad
 # on any topology are usage errors (exit 124); ranks and clusters beyond
 # the loaded topology, and a link from a rank to itself, are reported
-# after load (exit 1).  Each run is bounded by `timeout`.
+# after load (exit 1).  A `--trace` file that cannot be created is an
+# error naming it (exit 1).  Each run is bounded by `timeout`.
 #   bash cli_bad_flags.sh path/to/gridsched.exe
 set -u
 exe=$1
+dir=$(mktemp -d)
+trap 'rm -rf "$dir"' EXIT
 failures=0
 # expect STATUS TEXT SUBCOMMAND ARG...: exit STATUS with TEXT on stderr.
 expect() {
@@ -43,6 +46,9 @@ expect 124 "option '--jitter'" measure --jitter=nan
 expect 124 "option '--src'" measure --src=-1
 expect 1 "--dst 9999" measure --dst=9999
 expect 1 "--src and --dst" measure --src=3 --dst=3
+for sub in simulate profile serve; do
+  expect 1 "cannot write trace $dir/missing/t.jsonl" "$sub" --trace "$dir/missing/t.jsonl"
+done
 if [ "$failures" -ne 0 ]; then
   echo "$failures bad flag values were not rejected" >&2
   exit 1

@@ -136,11 +136,21 @@ let test_jsonl_sink_roundtrip () =
       List.iter (Sink.emit js) sample_events;
       Sink.count js)
   in
-  Alcotest.(check int) "count" (List.length sample_events) n;
+  Alcotest.(check (result int string)) "count" (Ok (List.length sample_events)) n;
   (match Sink.read path with
   | Ok events -> Alcotest.(check (list event)) "file round-trip" sample_events events
   | Error msg -> Alcotest.fail msg);
   Sys.remove path
+
+(* Files that cannot be opened are errors, not exceptions. *)
+let test_jsonl_unopenable () =
+  let dir = Filename.get_temp_dir_name () in
+  let missing = Filename.concat dir "gridb_obs_no_such_dir/t.jsonl" in
+  let is_error = function Ok _ -> false | Error _ -> true in
+  Alcotest.(check bool) "write into a missing directory" true
+    (is_error (Sink.with_jsonl missing (fun _ -> Alcotest.fail "ran without a file")));
+  Alcotest.(check bool) "read a missing file" true (is_error (Sink.read missing));
+  Alcotest.(check bool) "read a directory" true (is_error (Sink.read dir))
 
 (* --- Spans ------------------------------------------------------------ *)
 
@@ -262,7 +272,8 @@ let test_jsonl_faulty_run_roundtrip () =
   let mem = Sink.memory () in
   ignore (faulty_run mem);
   let path = Filename.temp_file "gridb_obs_run" ".jsonl" in
-  ignore (Sink.with_jsonl path (fun js -> ignore (faulty_run js)));
+  Alcotest.(check (result unit string)) "trace written" (Ok ())
+    (Sink.with_jsonl path (fun js -> ignore (faulty_run js)));
   (match Sink.read path with
   | Ok from_file ->
       Alcotest.(check (list event)) "file stream equals memory stream"
@@ -685,6 +696,7 @@ let () =
           quick "null is disabled" test_null_sink_disabled;
           quick "memory preserves order" test_memory_sink_order;
           quick "jsonl file round-trip" test_jsonl_sink_roundtrip;
+          quick "unopenable jsonl files are errors" test_jsonl_unopenable;
           quick "span wrap pairs" test_span_wrap_pairs;
         ] );
       ( "transparency",

@@ -6,8 +6,8 @@
 # stderr, never an uncaught exception (exit 125), a hang, or a run on
 # non-finite parameters.  A dump whose every inter-cluster gap is 1e308
 # loads (each number is finite) but overflows once a coordinator sends
-# twice: `optimal` must refuse to certify it, exit 1 naming the
-# non-finite value.
+# twice: every subcommand that plans or simulates on it must refuse it,
+# exit 1 naming the non-finite value, rather than print inf or nan.
 #   bash topology_bad_files.sh path/to/gridsched.exe
 set -u
 exe=$1
@@ -39,12 +39,14 @@ for path in "$dir/missing.topo" "$dir" "$dir/nan-latency.topo" \
     fi
   done
 done
-err=$(timeout 20 "$exe" optimal --topology "$dir/huge-gaps.topo" 2>&1 >/dev/null)
-status=$?
-if [ "$status" -ne 1 ] || ! grep -q -- "non-finite" <<<"$err"; then
-  echo "optimal --topology huge-gaps: exit $status, expected a non-finite refusal: $err" >&2
-  failures=$((failures + 1))
-fi
+for sub in schedule compare optimal simulate profile serve; do
+  err=$(timeout 20 "$exe" "$sub" --topology "$dir/huge-gaps.topo" 2>&1 >/dev/null)
+  status=$?
+  if [ "$status" -ne 1 ] || ! grep -q -- "non-finite" <<<"$err"; then
+    echo "$sub --topology huge-gaps: exit $status, expected a non-finite refusal: $err" >&2
+    failures=$((failures + 1))
+  fi
+done
 if [ "$failures" -ne 0 ]; then
   echo "$failures unreadable or invalid topology files were not reported as load errors" >&2
   exit 1
