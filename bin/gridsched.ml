@@ -662,14 +662,15 @@ let profile_cmd =
         let mem = Gridb_obs.Sink.memory () in
         let inst = Instance.of_grid ~root ~msg grid in
         let schedule =
-          Gridb_obs.Span.wrap mem "schedule" (fun () -> Engine.run ~obs:mem policy inst)
+          Gridb_obs.Span.wrap mem "schedule" (fun () ->
+              Engine.run ~obs:mem policy inst)
         in
         let machines = Topology.Machines.expand grid in
         let plan = Gridb_des.Plan.of_cluster_schedule machines schedule in
         ignore (Gridb_des.Exec.run ~msg ~obs:mem machines plan);
         let events = Gridb_obs.Sink.events mem in
         Printf.printf "profile: %s, %s, %s\n" (Policy.name policy)
-          (Option.value topology ~default:"GRID5000")
+          (match topology with None -> "GRID5000" | Some path -> path)
           (Gridb_util.Units.bytes_to_string msg);
         print_string (Gridb_obs.Profile.render (Gridb_obs.Profile.of_events events));
         if gantt then print_string (Gridb_sched.Gantt.render_events events);
@@ -818,20 +819,23 @@ let serve_cmd =
         let shed =
           match (shed_watermark, shed_open_frac) with
           | None, None -> Gridb_service.Admission.no_shed
-          | w, f -> Gridb_service.Admission.shed ?watermark_us:w ?max_open_frac:f ()
+          | w, f ->
+              Gridb_service.Admission.shed ?watermark_us:w ?max_open_frac:f ()
         in
         let admission =
-          Gridb_service.Admission.create ~max_concurrent ?max_backlog_us:max_backlog ~shed ()
+          Gridb_service.Admission.create ~max_concurrent
+            ?max_backlog_us:max_backlog ~shed ()
         in
         let retry =
           { Gridb_service.Server.budget = retry_budget; backoff_us = retry_backoff }
         in
         let mem =
-          if profile || traced <> None then Gridb_obs.Sink.memory () else Gridb_obs.Sink.null
+          if profile || traced <> None then Gridb_obs.Sink.memory ()
+          else Gridb_obs.Sink.null
         in
         let report =
-          Gridb_service.Server.run ~jobs ~transport ~admission ~obs:mem ~seed:(seed + 1)
-            ?faults ?dynamics ~retry machines requests
+          Gridb_service.Server.run ~jobs ~transport ~admission ~obs:mem
+            ~seed:(seed + 1) ?faults ?dynamics ~retry machines requests
         in
         List.iter print_endline (Gridb_service.Server.smoke_lines report);
         if not smoke then

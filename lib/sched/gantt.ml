@@ -85,7 +85,7 @@ let render_events ?(width = 72) events =
     (List.rev !intervals);
   List.iter
     (fun (e : Gridb_obs.Event.t) ->
-      match e with
+      match Gridb_obs.Event.untag e with
       | Arrival { dst; time; _ } -> Bytes.set rows.(dst) (column time) '*'
       | _ -> ())
     events;

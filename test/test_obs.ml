@@ -676,6 +676,8 @@ let test_gantt_events_renders () =
   Alcotest.(check bool) "non-empty" true (String.length s > 100);
   Alcotest.(check bool) "has send glyph" true (String.contains s '>');
   Alcotest.(check bool) "has arrival glyph" true (String.contains s '*');
+  Alcotest.(check string) "a tagged stream renders the same chart" s
+    (Gridb_sched.Gantt.render_events (List.map (Event.tag ~sid:3) events));
   Alcotest.check_raises "narrow width"
     (Invalid_argument "Gantt.render_events: width < 10") (fun () ->
       ignore (Gridb_sched.Gantt.render_events ~width:3 events))
