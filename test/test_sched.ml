@@ -471,6 +471,14 @@ let bounds_below_every_heuristic =
       let lb = Gridb_sched.Bounds.combined inst in
       List.for_all (fun h -> Engine.makespan h inst >= lb -. 1e-6) Policy.all)
 
+let upper_bound_above_every_heuristic =
+  QCheck.Test.make ~name:"upper bound is at least every heuristic" ~count:(Testutil.count 80)
+    QCheck.(pair (int_range 1 20) (int_bound 10_000))
+    (fun (n, seed) ->
+      let inst = random_instance ~n seed in
+      let ub = Gridb_sched.Bounds.upper inst in
+      List.for_all (fun h -> Engine.makespan h inst <= ub +. 1e-6) Policy.all)
+
 let bounds_below_optimal =
   QCheck.Test.make ~name:"combined bound never exceeds the optimum" ~count:(Testutil.count 40)
     QCheck.(pair (int_range 2 6) (int_bound 10_000))
@@ -490,6 +498,8 @@ let test_bounds_hand_instance () =
   (* root gap: min over j of g+L+T = 3. *)
   check_feq "root gap" 3. (Gridb_sched.Bounds.root_gap_bound inst);
   check_feq "combined" 5. (Gridb_sched.Bounds.combined inst);
+  (* upper: worst in-edge per cluster, 30 + 3 + 30, plus max T = 0. *)
+  check_feq "upper" 63. (Gridb_sched.Bounds.upper inst);
   (* optimal is 6: the bound is tight within 20% here *)
   check_feq "gap ratio of optimum" (6. /. 5.)
     (Gridb_sched.Bounds.gap_ratio inst (Exact.makespan inst))
@@ -497,6 +507,12 @@ let test_bounds_hand_instance () =
 let test_bounds_single_cluster () =
   let inst = Instance.v ~root:0 ~latency:[| [| 0. |] |] ~gap:[| [| 0. |] |] ~intra:[| 42. |] in
   check_feq "combined = T_root" 42. (Gridb_sched.Bounds.combined inst);
+  check_feq "upper = T_root" 42. (Gridb_sched.Bounds.upper inst);
+  (* Finite entries whose sum overflows: the bound says so. *)
+  let huge = [| [| 0.; 1e308; 1e308 |]; [| 1e308; 0.; 1e308 |]; [| 1e308; 1e308; 0. |] |] in
+  let inst = Instance.v ~root:0 ~latency:huge ~gap:huge ~intra:[| 0.; 0.; 0. |] in
+  Alcotest.(check bool) "overflow is not finite" false
+    (Float.is_finite (Gridb_sched.Bounds.upper inst));
   Alcotest.check_raises "negative makespan"
     (Invalid_argument "Bounds.gap_ratio: negative makespan") (fun () ->
       ignore (Gridb_sched.Bounds.gap_ratio inst (-1.)))
@@ -778,6 +794,7 @@ let () =
         [
           QCheck_alcotest.to_alcotest bounds_below_every_heuristic;
           QCheck_alcotest.to_alcotest bounds_below_optimal;
+          QCheck_alcotest.to_alcotest upper_bound_above_every_heuristic;
           quick "hand instance" test_bounds_hand_instance;
           quick "single cluster" test_bounds_single_cluster;
         ] );
